@@ -5,11 +5,9 @@
  * pre-refactor implementation (tests/support/legacy_dp.*), on the full
  * adaptive-ratio hierarchical solve of the paper's networks.
  *
- * Both arms run sequentially (no thread pool) and without a memo cache
- * so the comparison isolates the kernel itself; a separate
- * cache-attached run of the flattened path reports the cost-cache hit
- * rate the Planner configuration would see. Plans are asserted
- * byte-identical between the arms before any timing is reported.
+ * Both arms run sequentially (no thread pool) so the comparison
+ * isolates the kernel itself. Plans are asserted byte-identical
+ * between the arms before any timing is reported.
  *
  * Two further comparisons ride on the same report (DESIGN.md §17):
  *
@@ -53,7 +51,6 @@
 
 #include "bench_json.h"
 #include "core/batch_kernels.h"
-#include "core/cost_cache.h"
 #include "core/hierarchical_solver.h"
 #include "core/plan_io.h"
 #include "core/ratio_solver.h"
@@ -153,7 +150,7 @@ main()
 
     bench::BenchReport report("dp_kernel");
     util::Table table({"row", "legacy ms", "flattened ms", "speedup",
-                       "scalar ms", "simd speedup", "cache hit rate"});
+                       "scalar ms", "simd speedup"});
     bool regressed = false;
     const bool simd_active =
         std::string(core::batchKernelVariantName()) != "scalar";
@@ -218,26 +215,16 @@ main()
         if (simd_active && simd_speedup < 0.95)
             regressed = true;
 
-        // The Planner attaches a memo cache; report the hit rate the
-        // flattened path reaches with one on a cold-to-warm run.
-        core::CostCache cache;
-        core::solveHierarchy(problem, hierarchy, options,
-                             core::SolveContext{nullptr, &cache});
-        const core::CostCacheStats stats = cache.stats();
-
         util::Json &metrics = report.addRow(row.name);
         metrics["legacy_ns_per_solve"] = legacy_ns;
         metrics["flattened_ns_per_solve"] = flat_ns;
         metrics["speedup"] = speedup;
         metrics["scalar_ns_per_solve"] = scalar_ns;
         metrics["simd_speedup"] = simd_speedup;
-        metrics["cache_hits"] = static_cast<double>(stats.hits);
-        metrics["cache_misses"] = static_cast<double>(stats.misses);
-        metrics["cache_hit_rate"] = stats.hitRate();
 
         table.addRow(row.name,
                      {legacy_ns / 1e6, flat_ns / 1e6, speedup,
-                      scalar_ns / 1e6, simd_speedup, stats.hitRate()},
+                      scalar_ns / 1e6, simd_speedup},
                      3);
     }
 

@@ -8,8 +8,7 @@
  *
  * The whole sweep is one Planner::planBatch call: the model is built
  * once and all 8 x 4 (level, strategy) points share one
- * PartitionProblem and one warm cost cache, the same engine `accpar
- * sweep` uses.
+ * PartitionProblem, the same engine `accpar sweep` uses.
  */
 
 #include <iostream>
@@ -79,12 +78,6 @@ main()
                 speedup[s];
     }
 
-    const core::CostCacheStats cache = planner.cacheStats();
-    util::Json &cache_row = report.addRow("planner_cache");
-    cache_row["hits"] = static_cast<double>(cache.hits);
-    cache_row["misses"] = static_cast<double>(cache.misses);
-    cache_row["hit_rate"] = cache.hitRate();
-
     std::cout << "Figure 8: speedup vs hierarchy level on Vgg19 "
                  "(heterogeneous array of 2^h boards), normalized to DP "
                  "at each h\n";
@@ -92,8 +85,6 @@ main()
     csv.writeFile("fig8_hierarchy_sweep.csv");
     std::cout << "\n[csv written to fig8_hierarchy_sweep.csv]\n";
     report.write();
-    std::cout << "planner cost cache over the batch: " << cache.hits
-              << " hits / " << cache.misses << " misses\n";
     std::cout << "paper reference: OWT/HyPar saturate with h; AccPar "
                  "keeps increasing\n";
     return 0;

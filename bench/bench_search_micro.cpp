@@ -11,7 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/brute_force.h"
-#include "core/cost_cache.h"
 #include "core/hierarchical_solver.h"
 #include "hw/hierarchy.h"
 #include "models/zoo.h"
@@ -163,35 +162,6 @@ BM_HierarchySweepJobs(benchmark::State &state)
                                              : 0.0;
 }
 BENCHMARK(BM_HierarchySweepJobs)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-/**
- * What the memo cache buys on repeated planning of one request (the
- * sweep/compare reuse pattern): cold = fresh cache every iteration,
- * warm = one persistent cache. The "hit_rate" counter reports the warm
- * cache's steady-state hit fraction.
- */
-void
-BM_MemoizedPlanning(benchmark::State &state)
-{
-    const bool warm = state.range(0) == 1;
-    const graph::Graph model = models::buildModel("resnet50", 256);
-    const core::PartitionProblem problem(model);
-    const hw::Hierarchy hierarchy(hw::heterogeneousTpuArrayForLevels(4));
-    const auto strategy = strategies::makeStrategy("accpar");
-
-    core::CostCache shared;
-    for (auto _ : state) {
-        core::CostCache fresh;
-        const core::SolveContext context{nullptr,
-                                         warm ? &shared : &fresh};
-        benchmark::DoNotOptimize(
-            strategy->plan(problem, hierarchy, context));
-    }
-    state.SetLabel(warm ? "warm-cache" : "cold-cache");
-    if (warm)
-        state.counters["hit_rate"] = shared.stats().hitRate();
-}
-BENCHMARK(BM_MemoizedPlanning)->Arg(0)->Arg(1);
 
 void
 BM_CondenseModel(benchmark::State &state)

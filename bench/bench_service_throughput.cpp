@@ -116,7 +116,7 @@ main()
             worst_speedup = speedup;
         first = false;
         table.addRow(std::to_string(clients),
-                     {cold_rps, warm_rps, speedup}, 1);
+                     {cold_rps, warm_rps, speedup});
         util::Json &metrics =
             report.addRow("clients" + std::to_string(clients));
         metrics["cold_requests_per_second"] = cold_rps;

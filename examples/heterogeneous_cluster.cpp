@@ -9,10 +9,6 @@
  * throughput of Vgg16 under equal-ratio data parallelism versus AccPar —
  * quantifying how much of the mixed fleet's capacity each scheme
  * actually harvests.
- *
- * The whole sweep goes through one accpar::Planner, so cost terms shared
- * between mixes (every mix embeds the same TPU-v2/TPU-v3 pair costs) are
- * evaluated once and reused from the planner's memo cache.
  */
 
 #include <iostream>
@@ -76,11 +72,6 @@ main()
                      "boards, so mixed fleets waste the fast ones;\n"
                      "AccPar's flexible ratio (root alpha = the v2 "
                      "group's share) keeps the whole fleet busy.\n";
-        const core::CostCacheStats stats = planner.cacheStats();
-        std::cout << "cost cache across the sweep: " << stats.hits
-                  << " hits, " << stats.misses << " misses ("
-                  << util::formatDouble(100.0 * stats.hitRate(), 3)
-                  << "% hit rate)\n";
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << '\n';
         return 1;

@@ -69,9 +69,6 @@ main(int argc, char **argv)
         const hw::Hierarchy hierarchy(array);
         std::cout << '\n'
                   << accpar_result.plan.plan.toString(hierarchy);
-        const core::CostCacheStats stats = planner.cacheStats();
-        std::cout << "cost cache: " << stats.hits << " hits, "
-                  << stats.misses << " misses\n";
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << '\n';
         return 1;

@@ -39,12 +39,11 @@ evaluateAssignment(const CondensedGraph &graph,
     double total = 0.0;
     for (std::size_t v = 0; v < graph.size(); ++v) {
         const CondensedNode &node = graph.node(static_cast<CNodeId>(v));
-        total += model.nodeCost(static_cast<CNodeId>(v), dims[v],
-                                node.junction, types[v]);
+        total += model.nodeCost(dims[v], node.junction, types[v]);
         for (CNodeId u : node.preds) {
             const double boundary = std::min(dims[u].sizeOutput(),
                                              dims[v].sizeInput());
-            total += model.transitionCost(u, types[u], types[v], boundary);
+            total += model.transitionCost(types[u], types[v], boundary);
         }
     }
     return total;

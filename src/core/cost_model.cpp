@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/cost_cache.h"
 #include "util/error.h"
 
 namespace accpar::core {
@@ -172,64 +171,6 @@ PairCostModel::transitionCost(PartitionType from, PartitionType to,
     return reduce(sideTransitionCost(Side::Left, from, to, boundary_elems),
                   sideTransitionCost(Side::Right, from, to,
                                      boundary_elems));
-}
-
-double
-PairCostModel::nodeCost(int node, const LayerDims &d, bool junction,
-                        PartitionType t) const
-{
-    if (!_cache)
-        return nodeCost(d, junction, t);
-    CostKey key;
-    key.context = _cacheContext;
-    key.node = node;
-    key.kind = CostKey::IntraLayer;
-    key.from = static_cast<std::uint8_t>(partitionTypeIndex(t));
-    key.junction = junction ? 1 : 0;
-    key.alpha = _alpha;
-    key.d[0] = d.b;
-    key.d[1] = d.di;
-    key.d[2] = d.dOut;
-    key.d[3] = d.spatialIn;
-    key.d[4] = d.spatialOut;
-    key.d[5] = d.kernelArea;
-    double value;
-    if (_cache->lookup(key, value))
-        return value;
-    value = nodeCost(d, junction, t);
-    _cache->store(key, value);
-    return value;
-}
-
-double
-PairCostModel::transitionCost(int producer, PartitionType from,
-                              PartitionType to,
-                              double boundary_elems) const
-{
-    if (!_cache)
-        return transitionCost(from, to, boundary_elems);
-    CostKey key;
-    key.context = _cacheContext;
-    key.node = producer;
-    key.kind = CostKey::InterLayer;
-    key.from = static_cast<std::uint8_t>(partitionTypeIndex(from));
-    key.to = static_cast<std::uint8_t>(partitionTypeIndex(to));
-    key.alpha = _alpha;
-    key.d[0] = boundary_elems;
-    double value;
-    if (_cache->lookup(key, value))
-        return value;
-    value = transitionCost(from, to, boundary_elems);
-    _cache->store(key, value);
-    return value;
-}
-
-void
-PairCostModel::attachCache(CostCache *cache)
-{
-    _cache = cache;
-    _cacheContext =
-        cache ? cache->contextId(_left, _right, _config) : 0;
 }
 
 } // namespace accpar::core

@@ -17,7 +17,6 @@
 #ifndef ACCPAR_CORE_COST_MODEL_H
 #define ACCPAR_CORE_COST_MODEL_H
 
-#include <cstdint>
 #include <utility>
 
 #include "core/layer_dims.h"
@@ -25,8 +24,6 @@
 #include "util/units.h"
 
 namespace accpar::core {
-
-class CostCache;
 
 /** What the per-layer scalar cost measures. */
 enum class ObjectiveKind
@@ -149,29 +146,6 @@ class PairCostModel
     double transitionCost(PartitionType from, PartitionType to,
                           double boundary_elems) const;
 
-    /**
-     * Memoized variant of nodeCost: @p node is the condensed-node id the
-     * term belongs to (part of the cache key). Falls back to direct
-     * computation when no cache is attached.
-     */
-    double nodeCost(int node, const LayerDims &d, bool junction,
-                    PartitionType t) const;
-
-    /** Memoized variant of transitionCost; @p producer is the edge's
-     *  producing condensed-node id. */
-    double transitionCost(int producer, PartitionType from,
-                          PartitionType to, double boundary_elems) const;
-
-    /**
-     * Attaches a shared memo table (nullptr detaches). The model
-     * registers its (rates, config) context with the cache, so distinct
-     * models sharing one cache never alias entries. Attach before
-     * handing the model to concurrent solvers; lookups themselves are
-     * thread-safe.
-     */
-    void attachCache(CostCache *cache);
-    CostCache *cache() const { return _cache; }
-
     /** The compute/link rates of one side (read by RatioCostTables). */
     const GroupRates &rates(Side side) const;
 
@@ -182,8 +156,6 @@ class PairCostModel
     GroupRates _right;
     CostModelConfig _config;
     double _alpha = 0.5;
-    CostCache *_cache = nullptr;
-    std::uint32_t _cacheContext = 0;
 };
 
 } // namespace accpar::core

@@ -381,16 +381,15 @@ DpKernel::solve(const PairCostModel &model,
 
     // Step 1: dense cost tables, restricted to the allowed types (the
     // DP never reads a disallowed entry). Same model entry points and
-    // arguments as the unflattened path, so memoized or not the values
-    // are bit-identical.
+    // arguments as the unflattened path, so the values are bit-identical.
     const std::size_t n = graph.size();
     for (std::size_t v = 0; v < n; ++v) {
         const CondensedNode &node = graph.node(static_cast<CNodeId>(v));
         ACCPAR_ASSERT(!allowed[v].empty(),
                       "node " << node.name << " has no allowed types");
         for (PartitionType t : allowed[v]) {
-            _nodeTable[v * 3 + partitionTypeIndex(t)] = model.nodeCost(
-                static_cast<int>(v), _dims[v], node.junction, t);
+            _nodeTable[v * 3 + partitionTypeIndex(t)] =
+                model.nodeCost(_dims[v], node.junction, t);
         }
     }
     const std::vector<Edge> &edges = _structure._edges;
@@ -400,8 +399,7 @@ DpKernel::solve(const PairCostModel &model,
             const int fi = partitionTypeIndex(from);
             for (PartitionType to : allowed[edge.to]) {
                 _edgeTableT[e * 9 + partitionTypeIndex(to) * 3 + fi] =
-                    model.transitionCost(edge.from, from, to,
-                                         _boundary[e]);
+                    model.transitionCost(from, to, _boundary[e]);
             }
         }
     }
@@ -513,11 +511,9 @@ DpKernel::evaluate(const PairCostModel &model,
     double total = 0.0;
     for (std::size_t v = 0; v < graph.size(); ++v) {
         const CondensedNode &node = graph.node(static_cast<CNodeId>(v));
-        total += model.nodeCost(static_cast<int>(v), _dims[v],
-                                node.junction, types[v]);
+        total += model.nodeCost(_dims[v], node.junction, types[v]);
         for (std::int32_t e = edgeStart[v]; e < edgeStart[v + 1]; ++e) {
-            total += model.transitionCost(edges[e].from,
-                                          types[edges[e].from], types[v],
+            total += model.transitionCost(types[edges[e].from], types[v],
                                           _boundary[e]);
         }
     }

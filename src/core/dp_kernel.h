@@ -20,9 +20,8 @@
  *    per-solve cost tables. Each solve() is:
  *
  *     1. fill a dense [node][type] node-cost table and a per-edge
- *        to-major [to][from] transition table through the model
- *        (memoized when a CostCache is attached), restricted to the
- *        allowed types;
+ *        to-major [to][from] transition table through the model,
+ *        restricted to the allowed types;
  *     2. run the DP as pure array arithmetic — the relaxation step of
  *        each chain element computes all nine (target, source)
  *        candidates through the dispatched batch kernel

@@ -273,8 +273,6 @@ struct HierSolver
                                right_group.linkBandwidth()};
 
         PairCostModel model(left, right, options.cost);
-        if (context.memo)
-            model.attachCache(context.memo);
         double alpha = initialAlpha(options.ratioPolicy, left, right);
         model.setAlpha(alpha);
 

@@ -22,7 +22,6 @@
 
 #include "core/chain_dp.h"
 #include "core/condensed_graph.h"
-#include "core/cost_cache.h"
 #include "core/cost_model.h"
 #include "core/plan.h"
 #include "core/ratio_solver.h"
@@ -81,13 +80,10 @@ struct SolverOptions
  *   ancestors' (type, ratio) choices, and every hierarchy node writes
  *   its own plan slot, so the result is bit-identical to the sequential
  *   solve regardless of thread count.
- * - With a memo cache, inter/intra-layer cost terms are reused across
- *   hierarchy nodes, strategies, and sweep points (see CostCache).
  */
 struct SolveContext
 {
     util::ThreadPool *pool = nullptr; ///< null => fully sequential
-    CostCache *memo = nullptr;        ///< null => no cost memoization
     /**
      * When non-null, solveHierarchy re-initializes it for the run and
      * every internal hierarchy node records the evidence of its solve
@@ -172,7 +168,7 @@ PartitionPlan solveHierarchy(const PartitionProblem &problem,
                              const hw::Hierarchy &hierarchy,
                              const SolverOptions &options);
 
-/** Solves with shared execution resources (thread pool, memo cache). */
+/** Solves with shared execution resources (thread pool, certificate). */
 PartitionPlan solveHierarchy(const PartitionProblem &problem,
                              const hw::Hierarchy &hierarchy,
                              const SolverOptions &options,
@@ -186,10 +182,10 @@ PartitionPlan solveHierarchy(const graph::Graph &model,
 /**
  * Solves @p problem against several hierarchy candidates in one call,
  * returning one plan per entry of @p hierarchies (in order). All
- * solves share the problem's compiled DP structure and the context's
- * memo cache; with a pool the candidates solve concurrently — each
- * candidate's plan is bit-identical to its own solveHierarchy call, so
- * batching only changes throughput. The search layer uses this to
+ * solves share the problem's compiled DP structure; with a pool the
+ * candidates solve concurrently — each candidate's plan is
+ * bit-identical to its own solveHierarchy call, so batching only
+ * changes throughput. The search layer uses this to
  * score a lookahead set of annealing neighbors per oracle call.
  *
  * Certificate emission is per-solve evidence and is not batched:

@@ -24,16 +24,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(elapsed).count();
 }
 
-core::CostCacheStats
-statsDelta(const core::CostCacheStats &before,
-           const core::CostCacheStats &after)
-{
-    core::CostCacheStats delta;
-    delta.hits = after.hits - before.hits;
-    delta.misses = after.misses - before.misses;
-    return delta;
-}
-
 /** Appends a double as its exact shortest round-trippable decimal. */
 void
 appendDouble(std::string &out, double v)
@@ -350,12 +340,8 @@ Planner::plan(const PlanRequest &request)
 {
     const core::PartitionProblem problem(request.model);
     const hw::Hierarchy hierarchy(request.array);
-    const core::SolveContext context{poolFor(request.jobs), &_cache};
-
-    const core::CostCacheStats before = _cache.stats();
-    PlanResult result = planOne(request, problem, hierarchy, context);
-    result.cacheDelta = statsDelta(before, _cache.stats());
-    return result;
+    const core::SolveContext context{poolFor(request.jobs)};
+    return planOne(request, problem, hierarchy, context);
 }
 
 std::vector<PlanResult>
@@ -368,7 +354,7 @@ Planner::planBatch(const std::vector<PlanRequest> &requests)
     for (const PlanRequest &request : requests)
         jobs = std::max(jobs, effectiveJobs(request.jobs));
     util::ThreadPool *pool = poolFor(jobs);
-    const core::SolveContext context{pool, &_cache};
+    const core::SolveContext context{pool};
 
     // Build each distinct model's PartitionProblem exactly once, up
     // front and serially: condensation, the series-parallel
@@ -391,17 +377,12 @@ Planner::planBatch(const std::vector<PlanRequest> &requests)
         problem_of[i] = it->second;
     }
 
-    const core::CostCacheStats before = _cache.stats();
     std::vector<PlanResult> results(requests.size());
     util::parallelFor(pool, requests.size(), [&](std::size_t i) {
         const hw::Hierarchy hierarchy(requests[i].array);
         results[i] = planOne(requests[i], *problems[problem_of[i]],
                              hierarchy, context);
     });
-    const core::CostCacheStats delta =
-        statsDelta(before, _cache.stats());
-    for (PlanResult &result : results)
-        result.cacheDelta = delta;
     return results;
 }
 
@@ -411,12 +392,11 @@ Planner::compare(const PlanRequest &request)
     const core::PartitionProblem problem(request.model);
     const hw::Hierarchy hierarchy(request.array);
     util::ThreadPool *pool = poolFor(request.jobs);
-    const core::SolveContext context{pool, &_cache};
+    const core::SolveContext context{pool};
 
     const std::vector<strategies::StrategyPtr> strategies =
         strategies::defaultStrategies();
 
-    const core::CostCacheStats before = _cache.stats();
     StrategyComparison comparison;
     comparison.plans.resize(strategies.size());
     util::parallelFor(pool, strategies.size(), [&](std::size_t i) {
@@ -425,16 +405,12 @@ Planner::compare(const PlanRequest &request)
         comparison.plans[i] =
             planOne(one, problem, hierarchy, context);
     });
-    const core::CostCacheStats delta =
-        statsDelta(before, _cache.stats());
 
     const std::int64_t batch =
         request.model.layer(request.model.inputLayer()).outputShape.n;
-    for (PlanResult &plan : comparison.plans) {
-        plan.cacheDelta = delta;
+    for (const PlanResult &plan : comparison.plans)
         comparison.runs.push_back(sim::simulatePlan(
             problem, batch, hierarchy, plan.plan, request.sim));
-    }
 
     const double base = comparison.runs.front().throughput;
     for (const sim::TrainingRunResult &run : comparison.runs)
@@ -448,12 +424,10 @@ Planner::simulate(const PlanRequest &request)
 {
     const core::PartitionProblem problem(request.model);
     const hw::Hierarchy hierarchy(request.array);
-    const core::SolveContext context{poolFor(request.jobs), &_cache};
+    const core::SolveContext context{poolFor(request.jobs)};
 
-    const core::CostCacheStats before = _cache.stats();
     SimulationResult result;
     result.plan = planOne(request, problem, hierarchy, context);
-    result.plan.cacheDelta = statsDelta(before, _cache.stats());
 
     const std::int64_t batch =
         request.model.layer(request.model.inputLayer()).outputShape.n;

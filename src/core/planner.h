@@ -5,17 +5,16 @@
  *
  * Callers describe what to plan with a PlanRequest (model, array,
  * options, strategy name, jobs) and get a PlanResult back (plan,
- * per-level cost breakdown, timing, cache statistics) — no caller needs
+ * per-level cost breakdown, timing, diagnostics) — no caller needs
  * to assemble PartitionProblem, PairCostModel, or per-strategy solver
  * options by hand. The Planner owns the parallel planning engine: a
  * fixed-size thread pool (sibling hierarchy subtrees and compared
- * strategies solve concurrently) and a cost memo cache reused across
- * calls, so sweeps pay for shared sub-evaluations once.
+ * strategies solve concurrently).
  *
  * Determinism guarantee: for any jobs value the produced plans are
  * bit-identical to a sequential solve. Parallel tasks only ever write
  * disjoint result slots, reductions happen in fixed index order, and
- * memoized cost terms are pure functions of their exact keys.
+ * cost terms are pure functions of their arguments.
  */
 
 #ifndef ACCPAR_CORE_PLANNER_H
@@ -28,7 +27,6 @@
 
 #include "analysis/diagnostic.h"
 #include "core/certificate.h"
-#include "core/cost_cache.h"
 #include "core/hierarchical_solver.h"
 #include "core/plan.h"
 #include "graph/graph.h"
@@ -185,9 +183,6 @@ struct PlanResult
     std::vector<double> levelCosts;
     /** Wall-clock planning time. */
     util::Seconds planSeconds = 0.0;
-    /** Cost-cache activity attributable to this call (aggregated over
-     *  the whole batch for compare()/planBatch()). */
-    core::CostCacheStats cacheDelta;
     /** Effective concurrency the call ran with. */
     int jobs = 1;
     /** Post-solve verification findings (empty when verification is
@@ -251,11 +246,10 @@ struct SimulationResult
 };
 
 /**
- * The planning facade. One Planner may serve many requests; its cost
- * memo cache persists across calls, so repeated sweep points reuse
- * shared cost sub-evaluations (hit rates are visible in PlanResult and
- * cacheStats()). A Planner is not itself thread-safe: issue requests
- * from one thread and let the planner parallelize internally.
+ * The planning facade. One Planner may serve many requests; only its
+ * thread pool persists across calls, so a reused Planner returns the
+ * same plans as a fresh one. A Planner is not itself thread-safe: issue
+ * requests from one thread and let the planner parallelize internally.
  */
 class Planner
 {
@@ -274,11 +268,10 @@ class Planner
      * requests carrying the same model share a single
      * PartitionProblem (condensation and the series-parallel
      * decomposition are built once up front and read concurrently),
-     * and all requests share the planner's thread pool and warm cost
-     * cache. Results are in request order and bit-identical to
-     * planning each request alone; cacheDelta is aggregated over the
-     * whole batch. This is the engine behind `accpar sweep`, the
-     * Figure 8 bench and the service's cache-miss path.
+     * and all requests share the planner's thread pool. Results are in
+     * request order and bit-identical to planning each request alone.
+     * This is the engine behind `accpar sweep`, the Figure 8 bench and
+     * the service's cache-miss path.
      */
     std::vector<PlanResult> planBatch(
         const std::vector<PlanRequest> &requests);
@@ -293,15 +286,6 @@ class Planner
     /** Plans the request, then simulates one training step. */
     SimulationResult simulate(const PlanRequest &request);
 
-    /** Cumulative cost-cache counters of this planner. */
-    core::CostCacheStats cacheStats() const { return _cache.stats(); }
-
-    /** Number of memoized cost terms currently held. */
-    std::size_t cacheSize() const { return _cache.size(); }
-
-    /** Drops all memoized cost terms and resets the counters. */
-    void clearCache() { _cache.clear(); }
-
   private:
     util::ThreadPool *poolFor(int jobs);
     static int effectiveJobs(int jobs);
@@ -310,7 +294,6 @@ class Planner
                        const hw::Hierarchy &hierarchy,
                        const core::SolveContext &context);
 
-    core::CostCache _cache;
     std::unique_ptr<util::ThreadPool> _pool;
     int _poolJobs = 1;
 };

@@ -81,8 +81,8 @@ SpSolver::solveLeaf(graph::SpNodeId id, const PairCostModel &model,
     for (int a = 0; a < 3; ++a) {
         for (int b = 0; b < 3; ++b) {
             row[a * 3 + b] = model.transitionCost(
-                edge.from, partitionTypeFromIndex(a),
-                partitionTypeFromIndex(b), edge.boundary);
+                partitionTypeFromIndex(a), partitionTypeFromIndex(b),
+                edge.boundary);
         }
     }
 }
@@ -99,7 +99,7 @@ SpSolver::solveSeries(graph::SpNodeId id, const PairCostModel &model,
     double nodeCost[3];
     for (PartitionType t : allowed[middle]) {
         nodeCost[partitionTypeIndex(t)] =
-            model.nodeCost(middle, _dims[middle], mid.junction, t);
+            model.nodeCost(_dims[middle], mid.junction, t);
     }
     const double *left = &m[static_cast<std::size_t>(node.left) * 9];
     const double *right = &m[static_cast<std::size_t>(node.right) * 9];
@@ -159,11 +159,10 @@ SpSolver::solveResidual(graph::SpNodeId id, const PairCostModel &model,
         for (std::size_t i = 0; i < k; ++i) {
             const CNodeId v = node.internal[i];
             const CondensedNode &cn = _graph.node(v);
-            base += model.nodeCost(v, _dims[v], cn.junction, types[i]);
+            base += model.nodeCost(_dims[v], cn.junction, types[i]);
         }
         for (const CompiledEdge &edge : compiled.innerEdges) {
-            base += model.transitionCost(edge.from,
-                                         types[slotOf(edge.from)],
+            base += model.transitionCost(types[slotOf(edge.from)],
                                          types[slotOf(edge.to)],
                                          edge.boundary);
         }
@@ -173,11 +172,11 @@ SpSolver::solveResidual(graph::SpNodeId id, const PairCostModel &model,
                 for (const CompiledEdge &edge : compiled.crossEdges) {
                     if (edge.from == node.source) {
                         total += model.transitionCost(
-                            edge.from, partitionTypeFromIndex(a),
+                            partitionTypeFromIndex(a),
                             types[slotOf(edge.to)], edge.boundary);
                     } else {
                         total += model.transitionCost(
-                            edge.from, types[slotOf(edge.from)],
+                            types[slotOf(edge.from)],
                             partitionTypeFromIndex(b), edge.boundary);
                     }
                 }
@@ -232,7 +231,7 @@ SpSolver::solve(const PairCostModel &model,
         double best = kInf;
         for (PartitionType t : allowed[only]) {
             const double cost =
-                model.nodeCost(only, _dims[only], cn.junction, t);
+                model.nodeCost(_dims[only], cn.junction, t);
             if (cost < best) {
                 best = cost;
                 result.types[only] = t;
@@ -286,12 +285,12 @@ SpSolver::solve(const PairCostModel &model,
     int best_b = -1;
     for (PartitionType ta : allowed[s]) {
         const int a = partitionTypeIndex(ta);
-        const double s_cost = model.nodeCost(s, _dims[s], sn.junction, ta);
+        const double s_cost = model.nodeCost(_dims[s], sn.junction, ta);
         for (PartitionType tb : allowed[t]) {
             const int b = partitionTypeIndex(tb);
             const double total =
                 s_cost + row[a * 3 + b] +
-                model.nodeCost(t, _dims[t], tn.junction, tb);
+                model.nodeCost(_dims[t], tn.junction, tb);
             if (total < best) {
                 best = total;
                 best_a = a;

@@ -162,7 +162,7 @@ EffectiveBudget clampBudget(int budgetIters, double budgetMs,
 /**
  * The annealing driver: binds one (problem, array, options) triple
  * and runs the SA loop + polish tail on demand. The context's
- * pool/memo accelerate the inner solves; its certificate pointer is
+ * pool accelerates the inner solves; its certificate pointer is
  * ignored (candidate solves must not clobber a caller's certificate —
  * the winner is re-solved by the caller when evidence is wanted).
  */

@@ -166,8 +166,7 @@ void
 PlanService::workerLoop()
 {
     // Each worker owns its Planner: concurrent solves never share
-    // mutable planner state, and the worker's cost cache stays warm
-    // across the requests it serves.
+    // mutable planner state.
     Planner planner;
     while (true) {
         std::unique_ptr<Job> job;

@@ -5,12 +5,11 @@
  * A PlanService turns protocol requests (see service/protocol.h) into
  * responses using a pool of worker threads, each owning its own
  * core::Planner (a Planner parallelizes internally but is not itself
- * thread-safe, so one per worker gives safe concurrent solves while
- * each worker's cost cache warms across requests). Work flows through
- * a bounded admission queue — when it is full new requests are rejected
- * immediately with ASRV05 instead of building unbounded backlog — and
- * every queued request may carry a deadline after which it is answered
- * with ASRV06 instead of being solved.
+ * thread-safe, so one per worker gives safe concurrent solves). Work
+ * flows through a bounded admission queue — when it is full new
+ * requests are rejected immediately with ASRV05 instead of building
+ * unbounded backlog — and every queued request may carry a deadline
+ * after which it is answered with ASRV06 instead of being solved.
  *
  * Plan responses are additionally memoized in a sharded LRU
  * ResultCache keyed by core::planRequestCanonicalKey, so a repeated

@@ -48,8 +48,8 @@ runSpeedupComparison(const std::vector<std::string> &models,
 
 /**
  * As above, with shared execution resources: each model's strategies
- * plan concurrently on the context's pool and share its memo cache.
- * The table is identical to the sequential overload's.
+ * plan concurrently on the context's pool. The table is identical to
+ * the sequential overload's.
  */
 SpeedupTable
 runSpeedupComparison(const std::vector<std::string> &models,

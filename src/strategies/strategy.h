@@ -37,9 +37,8 @@ class Strategy
     /**
      * Produces the plan for @p problem on @p hierarchy. @p context
      * carries optional shared resources (thread pool for parallel
-     * subtree fan-out, cost memo cache); the default-constructed
-     * context solves sequentially without memoization, and results are
-     * identical either way.
+     * subtree fan-out); the default-constructed context solves
+     * sequentially, and results are identical either way.
      */
     virtual core::PartitionPlan
     plan(const core::PartitionProblem &problem,

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/chain_dp.h"
-#include "core/cost_cache.h"
 #include "core/dp_kernel.h"
 #include "core/hierarchical_solver.h"
 #include "core/plan_io.h"
@@ -159,10 +158,9 @@ TEST(DpKernel, ZooPlansByteIdenticalToLegacy)
 
 TEST(DpKernel, PlanBatchMatchesIndependentPlans)
 {
-    // planBatch shares one PartitionProblem per distinct model and one
-    // warm cache across the whole batch; results must still be
-    // identical to planning each request alone (including with a
-    // parallel pool attached).
+    // planBatch shares one PartitionProblem per distinct model across
+    // the whole batch; results must still be identical to planning
+    // each request alone (including with a parallel pool attached).
     std::vector<PlanRequest> requests;
     for (const char *name : {"vgg16", "alexnet", "vgg16"}) {
         for (int levels : {2, 3}) {

@@ -2,9 +2,9 @@
  * @file
  * Tests of the accpar::Planner facade: facade results equal the direct
  * solver path, parallel plans are byte-identical to sequential ones
- * (the engine's determinism guarantee), the memo cache pays off across
- * repeated requests, and the unified PlanOptions round-trips through
- * the deprecated SolverOptions view.
+ * (the engine's determinism guarantee), a reused planner returns the
+ * same plans as a fresh one per request, and the unified PlanOptions
+ * round-trips through the deprecated SolverOptions view.
  */
 
 #include <string>
@@ -97,21 +97,44 @@ TEST(PlannerTest, DeeperHierarchyStaysDeterministicUnderThreads)
     }
 }
 
-TEST(PlannerTest, RepeatedRequestsHitTheMemoCache)
+TEST(PlannerTest, ReusedPlannerMatchesFreshPlannerPerRequest)
 {
-    const graph::Graph model = models::buildModel("lenet", 32);
-    Planner planner;
-    PlanRequest request(model, hw::heterogeneousTpuArrayForLevels(3));
+    // One Planner serving an interleaved stream (model, array and jobs
+    // change from request to request, and the stream runs twice) must
+    // return the bytes a fresh Planner returns for each request alone:
+    // nothing a request leaves behind may leak into the next one.
+    const std::vector<hw::AcceleratorGroup> arrays = {
+        hw::parseArraySpec("tpu-v2:2+tpu-v3:2"),
+        hw::heterogeneousTpuArrayForLevels(3)};
+    std::vector<PlanRequest> requests;
+    for (int jobs : {1, 4}) {
+        for (const hw::AcceleratorGroup &array : arrays) {
+            for (const std::string name : {"lenet", "vgg16"}) {
+                PlanRequest request(models::buildModel(name, 64), array);
+                request.jobs = jobs;
+                requests.push_back(request);
+            }
+        }
+    }
 
-    const PlanResult first = planner.plan(request);
-    EXPECT_GT(first.cacheDelta.misses, 0u);
+    std::vector<std::string> fresh;
+    for (const PlanRequest &request : requests) {
+        Planner planner;
+        fresh.push_back(planBytes(planner.plan(request).plan,
+                                  hw::Hierarchy(request.array)));
+    }
 
-    const PlanResult second = planner.plan(request);
-    EXPECT_EQ(second.cacheDelta.misses, 0u);
-    EXPECT_GT(second.cacheDelta.hits, 0u);
-    EXPECT_EQ(planBytes(second.plan,
-                        hw::Hierarchy(request.array)),
-              planBytes(first.plan, hw::Hierarchy(request.array)));
+    Planner reused;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+            const hw::Hierarchy hierarchy(requests[i].array);
+            EXPECT_EQ(planBytes(reused.plan(requests[i]).plan, hierarchy),
+                      fresh[i])
+                << requests[i].model.name() << " on "
+                << requests[i].array.toString() << " jobs "
+                << requests[i].jobs << " pass " << pass;
+        }
+    }
 }
 
 TEST(PlannerTest, PlanBatchMatchesIndividualPlans)

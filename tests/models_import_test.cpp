@@ -134,6 +134,10 @@ TEST(ImportModel, MalformedCorpusRejectedWithStableCodes)
         {"import_onnx_asym_pads.json", "AONX02"},
     };
     for (const CorpusCase &entry : corpus) {
+        // A missing fixture would be rejected too ("cannot open" is
+        // ADOT01/AMIO01), so the file must exist for the code to count.
+        ASSERT_TRUE(std::ifstream(dataPath(entry.file)).is_open())
+            << entry.file;
         analysis::DiagnosticSink sink;
         EXPECT_FALSE(
             models::importModel(dataPath(entry.file), sink)

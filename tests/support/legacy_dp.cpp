@@ -38,14 +38,14 @@ struct DpContext
     nodeCost(CNodeId node, PartitionType t) const
     {
         const CondensedNode &n = graph.node(node);
-        return model.nodeCost(node, dims[node], n.junction, t);
+        return model.nodeCost(dims[node], n.junction, t);
     }
 
     double
     transitionCost(PartitionType from, PartitionType to,
                    CNodeId producer, CNodeId consumer) const
     {
-        return model.transitionCost(producer, from, to,
+        return model.transitionCost(from, to,
                                     boundaryElems(producer, consumer));
     }
 };
@@ -337,16 +337,14 @@ struct LegacyHierSolver
     const PartitionProblem &problem;
     const hw::Hierarchy &hierarchy;
     const SolverOptions &options;
-    CostCache *memo;
     const TypeRestrictions restrictions;
     PartitionPlan plan;
 
     LegacyHierSolver(const PartitionProblem &p, const hw::Hierarchy &h,
-                     const SolverOptions &o, CostCache *m)
+                     const SolverOptions &o)
         : problem(p),
           hierarchy(h),
           options(o),
-          memo(m),
           restrictions(buildRestrictions(p.condensed(), o.allowedTypes)),
           plan(o.strategyName, p.condensed().modelName(), h.nodeCount(),
                p.nodeNames())
@@ -409,8 +407,6 @@ struct LegacyHierSolver
                                right_group.linkBandwidth()};
 
         PairCostModel model(left, right, options.cost);
-        if (memo)
-            model.attachCache(memo);
         double alpha = initialAlpha(options.ratioPolicy, left, right);
         model.setAlpha(alpha);
 
@@ -473,9 +469,9 @@ struct LegacyHierSolver
 PartitionPlan
 solveHierarchy(const PartitionProblem &problem,
                const hw::Hierarchy &hierarchy,
-               const SolverOptions &options, CostCache *memo)
+               const SolverOptions &options)
 {
-    LegacyHierSolver solver(problem, hierarchy, options, memo);
+    LegacyHierSolver solver(problem, hierarchy, options);
     const std::vector<DimScales> unit(problem.condensed().size());
     solver.solveNode(hierarchy.root(), unit);
     return std::move(solver.plan);

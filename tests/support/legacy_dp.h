@@ -58,13 +58,11 @@ double solveRatioExact(const CondensedGraph &graph,
  * Pre-refactor hierarchical solve, fully sequential: the per-node
  * (DP, ratio) fixed-point loop exactly as hierarchical_solver.cpp ran
  * it before the kernel rewrite, recursing over the whole bi-partition
- * tree. Pass a CostCache to replicate the memoized configuration the
- * Planner uses, or nullptr for the raw path.
+ * tree.
  */
 PartitionPlan solveHierarchy(const PartitionProblem &problem,
                              const hw::Hierarchy &hierarchy,
-                             const SolverOptions &options,
-                             CostCache *memo = nullptr);
+                             const SolverOptions &options);
 
 } // namespace accpar::core::legacy
 

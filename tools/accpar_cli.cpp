@@ -179,16 +179,6 @@ simConfig(const util::Args &args)
     return config;
 }
 
-std::string
-cacheLine(const core::CostCacheStats &stats)
-{
-    const int rate_pct =
-        static_cast<int>(stats.hitRate() * 100.0 + 0.5);
-    return "[cost cache: " + std::to_string(stats.hits) + " hits, " +
-           std::to_string(stats.misses) + " misses, " +
-           std::to_string(rate_pct) + "% hit rate]";
-}
-
 /**
  * Applies the --log-level flag (or, when absent, leaves whatever
  * ACCPAR_LOG_LEVEL / the info default established at startup).
@@ -359,8 +349,7 @@ cmdPlan(const util::Args &args)
     if (result.searchReport)
         printSearchSummary(*result.searchReport);
     std::cout << "planned in " << util::humanSeconds(result.planSeconds)
-              << " with " << result.jobs << " job(s) "
-              << cacheLine(result.cacheDelta) << '\n';
+              << " with " << result.jobs << " job(s)\n";
     if (const auto path = args.get("out")) {
         core::savePlan(result.plan, hierarchy, *path);
         std::cout << "[plan written to " << *path << "]\n";
@@ -415,8 +404,7 @@ cmdSearch(const util::Args &args)
         std::cout << os.str();
     }
     std::cout << "planned in " << util::humanSeconds(result.planSeconds)
-              << " with " << result.jobs << " job(s) "
-              << cacheLine(result.cacheDelta) << '\n';
+              << " with " << result.jobs << " job(s)\n";
     if (const auto path = args.get("out")) {
         core::savePlan(result.plan, hierarchy, *path);
         std::cout << "[plan written to " << *path << "]\n";
@@ -542,8 +530,7 @@ compareSearched(const util::Args &args,
         std::cout << os.str() << "\n\n";
     }
     std::cout << "search improved " << improved << " of "
-              << names.size() << " model(s) "
-              << cacheLine(planner.cacheStats()) << '\n';
+              << names.size() << " model(s)\n";
     return 0;
 }
 
@@ -602,8 +589,8 @@ cmdCompare(const util::Args &args)
         "speedup over data parallelism on " + array.toString());
     std::cout << "solved " << table.rows.size() << " model(s) x "
               << table.strategyLabels.size() << " strategies in "
-              << util::humanSeconds(solve_seconds) << " of solver time "
-              << cacheLine(planner.cacheStats()) << '\n';
+              << util::humanSeconds(solve_seconds)
+              << " of solver time\n";
     if (const auto path = args.get("csv")) {
         sim::writeSpeedupCsv(table, *path);
         std::cout << "[csv written to " << *path << "]\n";
@@ -629,9 +616,8 @@ cmdSweep(const util::Args &args)
         header.push_back(s->label());
 
     // The whole sweep is one planBatch call: the model is built once
-    // and every (level, strategy) point shares one PartitionProblem
-    // and the planner's warm cost cache, instead of rebuilding model,
-    // problem and cache per level.
+    // and every (level, strategy) point shares one PartitionProblem,
+    // instead of rebuilding model and problem per level.
     const graph::Graph model =
         models::catalog().build(model_name, modelParams(args));
     const std::int64_t batch =
@@ -675,7 +661,6 @@ cmdSweep(const util::Args &args)
     std::cout << model_name
               << ": speedup vs hierarchy level (normalized to DP)\n";
     table.print(std::cout);
-    std::cout << cacheLine(planner.cacheStats()) << '\n';
     return 0;
 }
 
