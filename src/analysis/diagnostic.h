@@ -37,9 +37,11 @@ namespace accpar::analysis {
  * (search request without a usable budget) for the outer-search
  * subsystem (DESIGN.md §16); 5 = + ALINT08-ALINT12 rows in the §9
  * catalog for the compiled architecture & determinism analyzer
- * (accpar-analyze, DESIGN.md §18) and the tracked-build-tree lint.
+ * (accpar-analyze, DESIGN.md §18) and the tracked-build-tree lint;
+ * 6 = ALINT12 widened to also flag named tests/data files that git
+ * does not track.
  */
-inline constexpr int kRuleCatalogRevision = 5;
+inline constexpr int kRuleCatalogRevision = 6;
 
 /** How bad a finding is. */
 enum class Severity

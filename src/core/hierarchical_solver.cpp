@@ -1,7 +1,9 @@
 #include "core/hierarchical_solver.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 
 #include "core/certificate.h"
@@ -157,6 +159,32 @@ typeFeasible(const LayerDims &dims, bool junction, PartitionType t,
 
 namespace {
 
+/** Bit-for-bit equality: the twin test must not merge values that
+ *  compare equal but differ in bits (0.0 and -0.0). */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
+bool
+sameBits(const GroupRates &a, const GroupRates &b)
+{
+    return sameBits(a.compute, b.compute) && sameBits(a.link, b.link);
+}
+
+bool
+sameBits(const std::vector<DimScales> &a, const std::vector<DimScales> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const DimScales &x, const DimScales &y) {
+                          return sameBits(x.b, y.b) &&
+                                 sameBits(x.di, y.di) &&
+                                 sameBits(x.dOut, y.dOut);
+                      });
+}
+
 TypeRestrictions
 buildRestrictions(const CondensedGraph &graph,
                   const AllowedTypesFn &allowed)
@@ -256,21 +284,60 @@ struct HierSolver
         return out;
     }
 
+    GroupRates
+    rates(hw::NodeId id) const
+    {
+        const hw::AcceleratorGroup &group = hierarchy.node(id).group;
+        return {group.computeDensity(), group.linkBandwidth()};
+    }
+
+    /**
+     * True when the subtrees under @p a and @p b have the same shape
+     * and every pair of matching internal nodes splits into child
+     * groups with bit-equal rates: given bit-equal scales at @p a and
+     * @p b, every matching node then solves the same DP.
+     */
+    bool
+    rateIdentical(hw::NodeId a, hw::NodeId b) const
+    {
+        const hw::HierarchyNode &na = hierarchy.node(a);
+        const hw::HierarchyNode &nb = hierarchy.node(b);
+        if (na.isLeaf() || nb.isLeaf())
+            return na.isLeaf() && nb.isLeaf();
+        return sameBits(rates(na.left), rates(nb.left)) &&
+               sameBits(rates(na.right), rates(nb.right)) &&
+               rateIdentical(na.left, nb.left) &&
+               rateIdentical(na.right, nb.right);
+    }
+
+    /** Copies the decisions (and certificates) of the subtree under
+     *  @p from into the matching slots of its twin under @p to. */
     void
+    copySubtree(hw::NodeId from, hw::NodeId to)
+    {
+        const hw::HierarchyNode &src = hierarchy.node(from);
+        if (src.isLeaf())
+            return;
+        plan.setNodePlan(to, plan.nodePlan(from));
+        if (context.certificate)
+            context.certificate->setNodeCertificate(
+                to, context.certificate->nodeCertificate(from));
+        const hw::HierarchyNode &dst = hierarchy.node(to);
+        copySubtree(src.left, dst.left);
+        copySubtree(src.right, dst.right);
+    }
+
+    /** Solves the subtree under @p id; returns how many of its nodes
+     *  ran the DP (the rest were copied from a twin). */
+    int
     solveNode(hw::NodeId id, const std::vector<DimScales> &scales)
     {
         const hw::HierarchyNode &hn = hierarchy.node(id);
         if (hn.isLeaf())
-            return;
+            return 0;
 
-        const hw::AcceleratorGroup &left_group =
-            hierarchy.node(hn.left).group;
-        const hw::AcceleratorGroup &right_group =
-            hierarchy.node(hn.right).group;
-        const GroupRates left{left_group.computeDensity(),
-                              left_group.linkBandwidth()};
-        const GroupRates right{right_group.computeDensity(),
-                               right_group.linkBandwidth()};
+        const GroupRates left = rates(hn.left);
+        const GroupRates right = rates(hn.right);
 
         PairCostModel model(left, right, options.cost);
         double alpha = initialAlpha(options.ratioPolicy, left, right);
@@ -369,22 +436,39 @@ struct HierSolver
                 childScales(scales[v], junction, t, 1.0 - alpha);
         }
 
+        const bool both_internal = !hierarchy.node(hn.left).isLeaf() &&
+                                   !hierarchy.node(hn.right).isLeaf();
+
+        // Twin subtrees: a node's result depends only on its children's
+        // rates and its scales, so bit-equal scales over rate-identical
+        // subtrees give bit-equal plans node for node. Solve the left
+        // one and copy it (DESIGN.md §11).
+        if (both_internal && sameBits(left_scales, right_scales) &&
+            rateIdentical(hn.left, hn.right)) {
+            const int solved = solveNode(hn.left, left_scales);
+            copySubtree(hn.left, hn.right);
+            return 1 + solved;
+        }
+
         // The two subtrees depend only on this node's decision, and
         // every hierarchy node owns a distinct plan slot, so they may
         // solve concurrently without changing any result.
+        int solved_left = 0;
+        int solved_right = 0;
         if (context.pool && context.pool->concurrency() > 1 &&
-            !hierarchy.node(hn.left).isLeaf() &&
-            !hierarchy.node(hn.right).isLeaf()) {
+            both_internal) {
             std::vector<std::function<void()>> tasks;
             tasks.emplace_back(
-                [&] { solveNode(hn.left, left_scales); });
-            tasks.emplace_back(
-                [&] { solveNode(hn.right, right_scales); });
+                [&] { solved_left = solveNode(hn.left, left_scales); });
+            tasks.emplace_back([&] {
+                solved_right = solveNode(hn.right, right_scales);
+            });
             context.pool->run(std::move(tasks));
         } else {
-            solveNode(hn.left, left_scales);
-            solveNode(hn.right, right_scales);
+            solved_left = solveNode(hn.left, left_scales);
+            solved_right = solveNode(hn.right, right_scales);
         }
+        return 1 + solved_left + solved_right;
     }
 };
 
@@ -420,7 +504,9 @@ solveHierarchy(const PartitionProblem &problem,
     }
     HierSolver solver(problem, hierarchy, options, context);
     const std::vector<DimScales> unit(problem.condensed().size());
-    solver.solveNode(hierarchy.root(), unit);
+    const int solved = solver.solveNode(hierarchy.root(), unit);
+    if (context.solvedNodes)
+        *context.solvedNodes = solved;
     return std::move(solver.plan);
 }
 
@@ -441,6 +527,8 @@ solveHierarchyBatch(const PartitionProblem &problem,
     ACCPAR_REQUIRE(context.certificate == nullptr,
                    "batched hierarchy solves do not emit certificates; "
                    "re-solve the chosen candidate to emit one");
+    ACCPAR_REQUIRE(context.solvedNodes == nullptr,
+                   "batched hierarchy solves do not count node solves");
     std::vector<PartitionPlan> plans(hierarchies.size());
     const auto solveOne = [&](std::size_t i) {
         ACCPAR_REQUIRE(hierarchies[i] != nullptr,

@@ -11,7 +11,8 @@
  * into the children with the per-layer dimensions scaled by the chosen
  * types and ratio (Type-I scales B, Type-II scales D_i, Type-III scales
  * D_o; junctions scale their single channel dimension for both II and
- * III).
+ * III). Twin child subtrees — bit-equal scales over rate-identical
+ * subtrees — are solved once and copied (DESIGN.md §11).
  */
 
 #ifndef ACCPAR_CORE_HIERARCHICAL_SOLVER_H
@@ -92,6 +93,13 @@ struct SolveContext
      * plan-slot writes do. See core/certificate.h.
      */
     PlanCertificate *certificate = nullptr;
+    /**
+     * When non-null, receives the number of internal hierarchy nodes
+     * that ran the DP. A twin subtree (DESIGN.md §11) is copied from
+     * its sibling instead of solved, so this can be fewer than the
+     * hierarchy's internal nodes. Deterministic for any pool size.
+     */
+    int *solvedNodes = nullptr;
 };
 
 /**
@@ -188,8 +196,9 @@ PartitionPlan solveHierarchy(const graph::Graph &model,
  * changes throughput. The search layer uses this to
  * score a lookahead set of annealing neighbors per oracle call.
  *
- * Certificate emission is per-solve evidence and is not batched:
- * @p context.certificate must be null (solve the winner again to emit).
+ * Certificate emission and the node-solve count are per-solve and not
+ * batched: @p context.certificate and @p context.solvedNodes must be
+ * null (solve the winner again to emit).
  */
 std::vector<PartitionPlan>
 solveHierarchyBatch(const PartitionProblem &problem,

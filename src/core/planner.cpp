@@ -287,6 +287,7 @@ Planner::planOne(const PlanRequest &request,
     }
 
     core::SolveContext solve_context = context;
+    solve_context.solvedNodes = &result.solvedNodes;
     if (request.options.emitCertificate) {
         result.certificate = std::make_shared<core::PlanCertificate>();
         solve_context.certificate = result.certificate.get();

@@ -185,6 +185,10 @@ struct PlanResult
     util::Seconds planSeconds = 0.0;
     /** Effective concurrency the call ran with. */
     int jobs = 1;
+    /** Internal hierarchy nodes that ran the DP in the final solve;
+     *  twin subtrees are copied, not solved (DESIGN.md §11). Never
+     *  serialized: it describes the solve, not the plan. */
+    int solvedNodes = 0;
     /** Post-solve verification findings (empty when verification is
      *  disabled or the plan is clean). */
     std::vector<analysis::Diagnostic> diagnostics;

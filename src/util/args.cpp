@@ -22,7 +22,8 @@ Args::Args(std::vector<std::string> argv,
             continue;
         }
         std::string body = arg.substr(2);
-        ACCPAR_REQUIRE(!body.empty(), "bare '--' is not a valid flag");
+        if (body.empty())
+            throw ConfigError("bare '--' is not a valid flag");
         const std::size_t eq = body.find('=');
         if (eq != std::string::npos) {
             const std::string name = body.substr(0, eq);
@@ -34,8 +35,8 @@ Args::Args(std::vector<std::string> argv,
             _switches[body] = true;
             continue;
         }
-        ACCPAR_REQUIRE(i + 1 < argv.size(),
-                       "flag --" << body << " needs a value");
+        if (i + 1 >= argv.size())
+            throw ConfigError("flag --" + body + " needs a value");
         _options[body] = argv[++i];
         _occurrences[body].push_back(argv[i]);
     }
@@ -106,9 +107,8 @@ void
 Args::checkKnown(const std::vector<std::string> &known) const
 {
     auto require_known = [&](const std::string &name) {
-        ACCPAR_REQUIRE(std::find(known.begin(), known.end(), name) !=
-                           known.end(),
-                       "unknown flag --" << name);
+        if (std::find(known.begin(), known.end(), name) == known.end())
+            throw ConfigError("unknown flag --" + name);
     };
     for (const auto &[name, value] : _options)
         require_known(name);

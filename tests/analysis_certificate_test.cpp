@@ -150,6 +150,35 @@ TEST(CertificateChecker, ParallelEmissionByteIdenticalToSequential)
     EXPECT_EQ(dumps[0], dumps[1]);
 }
 
+TEST(CertificateChecker, TwinSubtreeCertificatesMatchAcrossJobsAndAudit)
+{
+    // On the 128+128 array all but 15 of 255 node certificates are
+    // copied from a twin subtree; the checker audits every one of them
+    // independently, and parallel emission must still match serial.
+    const hw::AcceleratorGroup array = hw::heterogeneousTpuArray();
+    const hw::Hierarchy hierarchy(array);
+    const core::PartitionProblem problem(models::buildModel("vgg16", 64));
+    std::array<std::string, 2> dumps;
+    for (int i = 0; i < 2; ++i) {
+        PlanRequest request(models::buildModel("vgg16", 64), array);
+        request.jobs = i == 0 ? 1 : 4;
+        request.options.emitCertificate = true;
+        Planner planner;
+        const PlanResult result = planner.plan(request);
+        ASSERT_NE(result.certificate, nullptr);
+        EXPECT_EQ(result.solvedNodes, 15);
+        dumps[static_cast<std::size_t>(i)] =
+            core::certificateToJson(*result.certificate, hierarchy)
+                .dump(2);
+        analysis::DiagnosticSink sink;
+        analysis::checkCertificate(problem, hierarchy, result.plan,
+                                   *result.certificate,
+                                   analysis::CheckOptions{}, sink);
+        EXPECT_EQ(sink.errorCount(), 0u) << sink.renderText();
+    }
+    EXPECT_EQ(dumps[0], dumps[1]);
+}
+
 TEST(CertificateChecker, RandomSeriesParallelRoundTripsAndPasses)
 {
     util::Rng rng(20260806);

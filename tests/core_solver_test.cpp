@@ -4,7 +4,9 @@
 
 #include "core/hierarchical_solver.h"
 #include "core/plan_evaluator.h"
+#include "core/planner.h"
 #include "hw/hierarchy.h"
+#include "hw/topology.h"
 #include "models/zoo.h"
 #include "util/error.h"
 
@@ -94,6 +96,36 @@ TEST(Solver, PlanCoversAllInternalNodes)
     }
     EXPECT_EQ(plan.strategyName(), "accpar");
     EXPECT_EQ(plan.modelName(), "lenet");
+}
+
+TEST(Solver, TwinSubtreesAreSolvedOnce)
+{
+    // Below a split of a homogeneous group both halves see alpha = 0.5
+    // over rate-identical subtrees, so only the left one runs the DP.
+    // Uneven splits (3+5, 4+7) leave fewer or no twins.
+    const struct
+    {
+        const char *array;
+        int solved;
+        std::size_t internal;
+    } cases[] = {{"hetero", 15, 255},
+                 {"tpu-v2:3+tpu-v3:5", 7, 7},
+                 {"tpu-v2:12+tpu-v3:4", 7, 15},
+                 {"tpu-v2:6+tpu-v3:2", 5, 7},
+                 {"tpu-v2:4+tpu-v3:7", 8, 10}};
+    Planner planner;
+    for (const auto &c : cases) {
+        const hw::AcceleratorGroup array = hw::parseArraySpec(c.array);
+        EXPECT_EQ(hw::Hierarchy(array).internalNodes().size(),
+                  c.internal)
+            << c.array;
+        for (int jobs : {1, 4}) {
+            PlanRequest request(models::buildModel("vgg16", 64), array);
+            request.jobs = jobs;
+            EXPECT_EQ(planner.plan(request).solvedNodes, c.solved)
+                << c.array << " jobs " << jobs;
+        }
+    }
 }
 
 TEST(Solver, RecordedCostsMatchEvaluator)

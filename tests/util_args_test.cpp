@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hw/topology.h"
 #include "util/args.h"
 #include "util/error.h"
@@ -51,6 +53,28 @@ TEST(Args, CheckKnownCatchesTypos)
     const Args args({"--stratgy", "accpar"});
     EXPECT_THROW(args.checkKnown({"strategy"}), ConfigError);
     EXPECT_NO_THROW(args.checkKnown({"stratgy"}));
+}
+
+TEST(Args, FlagErrorsArePlainUserMessages)
+{
+    // A bad command line is the user's mistake: the message names the
+    // flag and carries no check condition or source location.
+    const auto message = [](const auto &fn) -> std::string {
+        try {
+            fn();
+        } catch (const ConfigError &e) {
+            return e.what();
+        }
+        return "no error";
+    };
+    EXPECT_EQ(message([] { Args({"--model", "vgg16", "--jobs"}); }),
+              "flag --jobs needs a value");
+    EXPECT_EQ(message([] {
+                  Args({"--bogus", "1"}).checkKnown({"model"});
+              }),
+              "unknown flag --bogus");
+    EXPECT_EQ(message([] { Args({"--"}); }),
+              "bare '--' is not a valid flag");
 }
 
 TEST(ArraySpec, NamedArrays)

@@ -3,95 +3,14 @@
  * The `accpar` command-line tool: plan, simulate and compare tensor
  * partitionings without writing C++.
  *
- * Subcommands:
- *   models   [--json]
- *            list the model catalog: every name `--model` accepts,
- *            its family, and its build parameters
- *   info     --model NAME [--batch N]
- *            model summary (layers, weights, FLOPs) and DOT export
- *   plan     --model NAME [--batch N] [--array SPEC] [--jobs N]
- *            [--strategy dp|owt|hypar|accpar] [--out plan.json]
- *            [--search-budget N] [--search-ms MS] [--seed S]
- *            search a partition plan; print per-level types. With a
- *            search budget the outer-loop annealer (DESIGN.md §16)
- *            optimizes the hierarchy first and the plan is reported
- *            on the winning hierarchy
- *   search   --model NAME (--budget-iters N | --budget-ms MS)
- *            [--seed S] [--batch N] [--array SPEC] [--jobs N]
- *            [--strategy accpar|custom] [--out plan.json]
- *            [--cert cert.json]
- *            anytime outer-loop search over hierarchy shapes and
- *            device assignments with the exact DP as inner oracle;
- *            prints baseline vs best cost, the anytime improvement
- *            curve, and the winning plan. Never reports a plan worse
- *            than `accpar plan`'s; --budget-iters runs are
- *            deterministic for a fixed --seed (any --jobs)
- *   simulate --model NAME [--batch N] [--array SPEC] [--jobs N]
- *            (--strategy S | --plan plan.json) [--optimizer OPT]
- *            simulate one training step and report timing
- *   compare  [--models a,b,c] [--batch N] [--array SPEC] [--jobs N]
- *            [--optimizer OPT] [--csv FILE]
- *            the Figure 5/6 style strategy comparison. With
- *            --search-budget N (and optionally --search-ms/--seed) it
- *            instead diffs the outer-searched plan against the
- *            baseline DP plan per model: level-by-level type
- *            disagreements (core/plan_diff.h) plus the total cost
- *            delta
- *   sweep    --model NAME [--min-levels 2] [--max-levels 9] [--jobs N]
- *            [--optimizer OPT]
- *            the Figure 8 style hierarchy sweep
- *   diff     compare two plans (by strategy or plan file)
- *   validate (--model NAME | --model-file FILE) [--plan plan.json]
- *            [--array SPEC] [--strategy S] [--strict] [--json]
- *            statically check a model description (graph linter) or a
- *            saved plan (plan verifier) and print diagnostics; exits
- *            nonzero when errors (or, with --strict, warnings) are
- *            found
- *   audit    <plan.json> --cert cert.json (--model NAME | --model-file
- *            FILE) [--batch N] [--array SPEC]
- *            [--exhaustive-max-layers N] [--alpha-eps E] [--strict]
- *            [--json]
- *            audit a plan against its certificate: re-derive every
- *            cost-table cell, replay the Bellman recurrence, run the
- *            one-swap optimality linter, and (for graphs up to
- *            --exhaustive-max-layers) cross-check against the
- *            brute-force oracle; exits nonzero on findings
- *   serve    [--host 127.0.0.1] [--port 7411] [--jobs N]
- *            [--cache-entries N] [--max-queue N] [--planner-jobs N]
- *            long-running planning daemon speaking the
- *            newline-delimited JSON protocol (DESIGN.md §10); drains
- *            gracefully on SIGINT/SIGTERM or a `shutdown` request and
- *            dumps its metrics on exit
- *   load     [--host H] [--port P | --loopback] [--requests N]
- *            [--concurrency K] [--mix plan,validate] [--model NAME]
- *            [--batch N] [--array SPEC] [--strategy S] [--shutdown]
- *            closed-loop load generator against a running server (or
- *            an in-process service with --loopback); exits nonzero
- *            when any request failed
- *
- * `accpar --version` prints the library version. Every subcommand
- * accepts --log-level {debug,info,warn,error,off} (the
- * ACCPAR_LOG_LEVEL environment variable sets the default, else info).
- *
- * Model selection (info, plan, simulate, sweep, diff, validate,
- * audit): `--model NAME` picks a catalog entry (`accpar models` lists
- * them) built with repeatable `--param key=value` flags — e.g.
- * `--model bert-base --param depth=6 --param batch=16`; `--batch N`
- * is shorthand for `--param batch=N`. `--import FILE` instead loads a
- * model file: `.dot` in the graph::toDot dialect, an ONNX-as-JSON
- * shape dump, or the native JSON description (`--model-file` is the
- * older spelling that only accepts the native JSON format).
- *
- * --jobs N runs the planning engine with N concurrency lanes (0 = all
- * hardware threads, default 1). Plans are bit-identical for any value.
- *
- * Array SPEC: "hetero" (default; 128 TPU-v2 + 128 TPU-v3), "homo"
- * (128 TPU-v3), or slices like "tpu-v2:96+tpu-v3:32"; custom
- * accelerators use name:count:tflops:mem_gb:mem_gbps:link_gbit.
+ * `accpar --help` prints every subcommand and its flags (kSubcommands
+ * below).
  */
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "analysis/certificate_checker.h"
@@ -191,16 +110,107 @@ applyLogLevel(const util::Args &args)
             util::parseLogLevel(*level));
 }
 
+constexpr const char *kSynopsis =
+    "usage: accpar "
+    "<models|info|plan|search|simulate|compare|sweep|diff|"
+    "validate|audit|serve|load> [flags]\n"
+    "       accpar --version | --help\n";
+
+constexpr const char *kSubcommands = R"(Subcommands:
+  models   [--json]
+           list the model catalog: every name `--model` accepts,
+           its family, and its build parameters
+  info     --model NAME [--batch N]
+           model summary (layers, weights, FLOPs) and DOT export
+  plan     --model NAME [--batch N] [--array SPEC] [--jobs N]
+           [--strategy dp|owt|hypar|accpar] [--out plan.json]
+           [--cert cert.json]
+           [--search-budget N] [--search-ms MS] [--seed S]
+           search a partition plan; print per-level types. With a
+           search budget the outer-loop annealer (DESIGN.md §16)
+           optimizes the hierarchy first and the plan is reported
+           on the winning hierarchy
+  search   --model NAME (--budget-iters N | --budget-ms MS)
+           [--seed S] [--batch N] [--array SPEC] [--jobs N]
+           [--strategy accpar|custom] [--out plan.json]
+           [--cert cert.json]
+           anytime outer-loop search over hierarchy shapes and
+           device assignments with the exact DP as inner oracle;
+           prints baseline vs best cost, the anytime improvement
+           curve, and the winning plan. Never reports a plan worse
+           than `accpar plan`'s; --budget-iters runs are
+           deterministic for a fixed --seed (any --jobs)
+  simulate --model NAME [--batch N] [--array SPEC] [--jobs N]
+           (--strategy S | --plan plan.json) [--optimizer OPT]
+           simulate one training step and report timing
+  compare  [--models a,b,c] [--batch N] [--array SPEC] [--jobs N]
+           [--optimizer OPT] [--csv FILE]
+           the Figure 5/6 style strategy comparison. With
+           --search-budget N (and optionally --search-ms/--seed) it
+           instead diffs the outer-searched plan against the
+           baseline DP plan per model: level-by-level type
+           disagreements (core/plan_diff.h) plus the total cost
+           delta
+  sweep    --model NAME [--min-levels 2] [--max-levels 9] [--jobs N]
+           [--optimizer OPT]
+           the Figure 8 style hierarchy sweep
+  diff     compare two plans (by strategy or plan file)
+  validate (--model NAME | --model-file FILE) [--plan plan.json]
+           [--array SPEC] [--strategy S] [--strict] [--json]
+           statically check a model description (graph linter) or a
+           saved plan (plan verifier) and print diagnostics; exits
+           nonzero when errors (or, with --strict, warnings) are
+           found
+  audit    <plan.json> --cert cert.json (--model NAME | --model-file
+           FILE) [--batch N] [--array SPEC]
+           [--exhaustive-max-layers N] [--alpha-eps E] [--strict]
+           [--json]
+           audit a plan against its certificate: re-derive every
+           cost-table cell, replay the Bellman recurrence, run the
+           one-swap optimality linter, and (for graphs up to
+           --exhaustive-max-layers) cross-check against the
+           brute-force oracle; exits nonzero on findings
+  serve    [--host 127.0.0.1] [--port 7411] [--jobs N]
+           [--cache-entries N] [--max-queue N] [--planner-jobs N]
+           long-running planning daemon speaking the
+           newline-delimited JSON protocol (DESIGN.md §10); drains
+           gracefully on SIGINT/SIGTERM or a `shutdown` request and
+           dumps its metrics on exit
+  load     [--host H] [--port P | --loopback] [--requests N]
+           [--concurrency K] [--mix plan,validate] [--model NAME]
+           [--batch N] [--array SPEC] [--strategy S] [--shutdown]
+           closed-loop load generator against a running server (or
+           an in-process service with --loopback); exits nonzero
+           when any request failed
+
+`accpar --version` prints the library version. Every subcommand
+accepts --log-level {debug,info,warn,error,off} (the
+ACCPAR_LOG_LEVEL environment variable sets the default, else info).
+
+Model selection (info, plan, simulate, sweep, diff, validate,
+audit): `--model NAME` picks a catalog entry (`accpar models` lists
+them) built with repeatable `--param key=value` flags — e.g.
+`--model bert-base --param depth=6 --param batch=16`; `--batch N`
+is shorthand for `--param batch=N`. `--import FILE` instead loads a
+model file: `.dot` in the graph::toDot dialect, an ONNX-as-JSON
+shape dump, or the native JSON description (`--model-file` is the
+older spelling that only accepts the native JSON format).
+
+--jobs N runs the planning engine with N concurrency lanes (0 = all
+hardware threads, default 1). Plans are bit-identical for any value.
+
+Array SPEC: "hetero" (default; 128 TPU-v2 + 128 TPU-v3), "homo"
+(128 TPU-v3), or slices like "tpu-v2:96+tpu-v3:32"; custom
+accelerators use name:count:tflops:mem_gb:mem_gbps:link_gbit.
+)";
+
+/** Usage to stderr for a malformed command line (exit 2). */
 int
 usage()
 {
-    std::cerr
-        << "usage: accpar "
-           "<models|info|plan|search|simulate|compare|sweep|diff|"
-           "validate|audit|serve|load> [flags]\n"
-        << "       accpar --version\n"
-        << "run 'accpar' with a subcommand; see tools/accpar_cli.cpp "
-           "header for flags\n";
+    std::cerr << kSynopsis
+              << "run 'accpar --help' for the subcommands and their "
+                 "flags\n";
     return 2;
 }
 
@@ -299,6 +309,17 @@ printSearchSummary(const search::SearchReport &report)
     std::cout << os.str();
 }
 
+/** The "planned in …" line: wall time, jobs, and how many hierarchy
+ *  nodes ran the DP (twin subtrees are copied, not solved). */
+void
+printPlannedLine(const PlanResult &result, const hw::Hierarchy &hierarchy)
+{
+    std::cout << "planned in " << util::humanSeconds(result.planSeconds)
+              << " with " << result.jobs << " job(s), "
+              << result.solvedNodes << " of "
+              << hierarchy.internalNodes().size() << " nodes solved\n";
+}
+
 /**
  * Reads the outer-search flags into @p options. `plan` spells them
  * --search-budget/--search-ms so a budget-less `accpar plan` stays
@@ -348,8 +369,7 @@ cmdPlan(const util::Args &args)
     std::cout << result.plan.toString(hierarchy);
     if (result.searchReport)
         printSearchSummary(*result.searchReport);
-    std::cout << "planned in " << util::humanSeconds(result.planSeconds)
-              << " with " << result.jobs << " job(s)\n";
+    printPlannedLine(result, hierarchy);
     if (const auto path = args.get("out")) {
         core::savePlan(result.plan, hierarchy, *path);
         std::cout << "[plan written to " << *path << "]\n";
@@ -426,6 +446,7 @@ cmdSimulate(const util::Args &args)
         hw::parseArraySpec(args.getOr("array", "hetero"));
     const hw::Hierarchy hierarchy(array);
 
+    std::optional<PlanResult> planned;
     const sim::TrainingRunResult run = [&] {
         if (const auto path = args.get("plan")) {
             const graph::Graph model = resolveModel(args);
@@ -442,7 +463,9 @@ cmdSimulate(const util::Args &args)
         request.jobs = jobsArg(args);
         request.sim = simConfig(args);
         Planner planner;
-        return planner.simulate(request).run;
+        SimulationResult simulated = planner.simulate(request);
+        planned = std::move(simulated.plan);
+        return simulated.run;
     }();
 
     std::cout << "array:            " << array.toString() << '\n'
@@ -466,6 +489,8 @@ cmdSimulate(const util::Args &args)
               << '\n'
               << '\n'
               << sim::formatRunBreakdown(run);
+    if (planned)
+        printPlannedLine(*planned, hierarchy);
     return 0;
 }
 
@@ -922,6 +947,14 @@ main(int argc, char **argv)
         return 0;
     }
     std::vector<std::string> rest(argv + 2, argv + argc);
+    const auto is_help = [](const std::string &arg) {
+        return arg == "--help" || arg == "-h";
+    };
+    if (command == "help" || is_help(command) ||
+        std::any_of(rest.begin(), rest.end(), is_help)) {
+        std::cout << kSynopsis << '\n' << kSubcommands;
+        return 0;
+    }
 
     try {
         const util::Args args(rest, {"strict", "json", "no-verify",

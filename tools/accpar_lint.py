@@ -58,12 +58,20 @@ Rules (stable codes — never reuse or renumber):
            wrapper so the bit-identity contract (no FMA contraction,
            scalar-identical per-lane operation order) is enforced in
            one place and the scalar/AVX2/NEON backends cannot drift.
-  ALINT12  A build tree is tracked by git: `git ls-files` reports a
-           path under build*/ or Testing/. Build output is
-           machine-local state; committing it bloats history and
-           invites stale-artifact confusion (PR 10 purged two full
-           trees). The rule is skipped outside a git work tree
-           (fixture mini-trees).
+  ALINT12  The git index disagrees with what the build needs: a
+           path under build*/ or Testing/ is tracked, or a tests/data
+           file the tests name is not. Build output is machine-local
+           state; committing it bloats history and invites
+           stale-artifact confusion. A named data file that exists
+           only locally (say, hidden by a .gitignore pattern) passes
+           every local run and fails on a fresh clone. Data paths are
+           read from tests/CMakeLists.txt (${ACCPAR_TEST_DATA}/...,
+           ${CMAKE_CURRENT_SOURCE_DIR}/data/..., tests/data/...),
+           tests/*.cpp (tests/data/... literals, and bare file-name
+           literals naming a file present under tests/data) and
+           .github/workflows/ci.yml (tests/data/... paths; a glob must
+           match a tracked file). The rule is skipped outside a git
+           work tree; the self-test runs each fixture in a fresh one.
 
 ALINT08-ALINT11 (layer-DAG architecture, unordered-iteration taint,
 wall-clock/locale determinism, failure-path audit) live in the
@@ -79,12 +87,15 @@ Exit status: 0 clean, 1 findings (or a self-test mismatch), 2 usage.
 """
 
 import argparse
+import fnmatch
 import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 TOOL_VERSION = "1.0.0"
@@ -157,13 +168,21 @@ RULES = {
     "ALINT05": "certificate checker reaches the solver kernel",
     "ALINT06": "raw std randomness outside util/rng.h",
     "ALINT07": "raw SIMD intrinsics outside util/simd.h",
-    "ALINT12": "a build tree (build*/, Testing/) is tracked by git",
+    "ALINT12": "a build tree is tracked by git, or a named tests/data "
+               "file is not",
 }
 
 # ALINT12: tracked paths that are build output. Anchored at the repo
 # root; build-*/ covers the multi-config trees (build-perf, build-scalar)
 # and Testing/ is ctest's dashboard scratch.
 TRACKED_BUILD_RE = re.compile(r"^(?:build[^/]*|Testing)/")
+# ALINT12: spellings of a tests/data path; group 1 is the part below
+# tests/data/.
+DATA_PATH_CHARS = r"([A-Za-z0-9_.*?/-]*[A-Za-z0-9_*?])"
+CMAKE_DATA_RE = re.compile(
+    r"(?:\$\{ACCPAR_TEST_DATA\}|\$\{CMAKE_CURRENT_SOURCE_DIR\}/data"
+    r"|\btests/data)/" + DATA_PATH_CHARS)
+REPO_DATA_RE = re.compile(r"\btests/data/" + DATA_PATH_CHARS)
 
 
 class Finding:
@@ -460,25 +479,77 @@ def check_raw_simd(root: Path):
     return findings
 
 
-def check_no_tracked_build(root: Path):
-    """ALINT12 — no build output in the index. Skipped when the root
-    is not a git work tree (fixture mini-trees have no .git)."""
+def tracked_files(root: Path):
+    """`git ls-files` of @p root, or None outside a git work tree."""
     if not (root / ".git").exists():
-        return []
+        return None
     try:
         proc = subprocess.run(
             ["git", "-C", str(root), "ls-files"],
             capture_output=True, text=True, timeout=60, check=True)
     except (OSError, subprocess.TimeoutExpired,
             subprocess.CalledProcessError):
+        return None
+    return proc.stdout.splitlines()
+
+
+def named_data_paths(root: Path):
+    """ALINT12 — every (file, line, tests/data path) the build names.
+    Bare file-name literals in tests/*.cpp count only when they name a
+    file present under tests/data: a literal alone cannot say it is a
+    data path, and a missing file already fails its test locally."""
+    data_dir = root / "tests" / "data"
+    on_disk = {p.name for p in data_dir.iterdir()} \
+        if data_dir.is_dir() else set()
+    sources = [(root / "tests" / "CMakeLists.txt", CMAKE_DATA_RE),
+               (root / ".github" / "workflows" / "ci.yml", REPO_DATA_RE)]
+    sources += [(path, REPO_DATA_RE)
+                for path in sorted((root / "tests").glob("*.cpp"))]
+    for path, pattern in sources:
+        if not path.is_file():
+            continue
+        rel = path.relative_to(root).as_posix()
+        for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1):
+            for match in pattern.finditer(line):
+                yield rel, number, "tests/data/" + match.group(1)
+            if path.suffix == ".cpp":
+                for literal in STRING_RE.findall(line):
+                    name = literal.lstrip("/")
+                    if name in on_disk:
+                        yield rel, number, "tests/data/" + name
+
+
+def check_git_index(root: Path):
+    """ALINT12 — no build output in the index, and every tests/data
+    path the build names is in it. Skipped when the root is not a git
+    work tree."""
+    tracked = tracked_files(root)
+    if tracked is None:
         return []
     findings = []
-    for tracked in proc.stdout.splitlines():
-        if TRACKED_BUILD_RE.match(tracked):
+    for path in tracked:
+        if TRACKED_BUILD_RE.match(path):
             findings.append(Finding(
-                "ALINT12", tracked, 0,
+                "ALINT12", path, 0,
                 "build output is tracked by git — `git rm -r --cached` "
                 "it; build*/ and Testing/ are ignored by .gitignore"))
+    tracked_set = set(tracked)
+    seen = set()
+    for source, line, data in named_data_paths(root):
+        if (source, data) in seen:
+            continue
+        seen.add((source, data))
+        if any(ch in data for ch in "*?"):
+            present = bool(fnmatch.filter(tracked, data))
+        else:
+            present = data in tracked_set or any(
+                t.startswith(data + "/") for t in tracked)
+        if not present:
+            findings.append(Finding(
+                "ALINT12", source, line,
+                f"{data} is named here but not tracked by git — a fresh "
+                "clone lacks it; `git add` it (check .gitignore)"))
     return findings
 
 
@@ -490,7 +561,7 @@ CHECKS = {
     "ALINT05": check_independence,
     "ALINT06": check_raw_random,
     "ALINT07": check_raw_simd,
-    "ALINT12": check_no_tracked_build,
+    "ALINT12": check_git_index,
 }
 
 
@@ -513,6 +584,23 @@ def render_json(root: Path, rules, findings):
     }, indent=2) + "\n"
 
 
+def run_in_git_copy(tree: Path):
+    """Runs every rule over a copy of @p tree staged in a fresh git
+    work tree, so ALINT12 sees an index: everything present is
+    tracked. Findings keep paths relative to the copy."""
+    with tempfile.TemporaryDirectory(prefix="accpar_lint_") as tmp:
+        copy = Path(tmp) / tree.name
+        shutil.copytree(tree, copy)
+        try:
+            for cmd in (["git", "init", "-q"], ["git", "add", "-A"]):
+                subprocess.run(cmd, cwd=copy, capture_output=True,
+                               timeout=60, check=True)
+        except (OSError, subprocess.TimeoutExpired,
+                subprocess.CalledProcessError):
+            pass  # no git: ALINT12 is skipped and its fixture fails
+        return run_rules(copy, sorted(CHECKS))
+
+
 def self_test(fixtures: Path) -> int:
     """Runs every lint_* fixture mini-tree and checks the verdicts:
     each lint_bad_<code> tree must trip exactly that code (and nothing
@@ -523,7 +611,7 @@ def self_test(fixtures: Path) -> int:
         if not tree.is_dir():
             continue
         ran += 1
-        findings = run_rules(tree, sorted(CHECKS))
+        findings = run_in_git_copy(tree)
         got = sorted({f.code for f in findings})
         name = tree.name
         if name == "lint_clean":
