@@ -13,13 +13,14 @@ namespace accpar::core {
 std::string
 hierarchySignature(const hw::Hierarchy &hierarchy)
 {
-    std::ostringstream os;
+    std::string out;
     for (std::size_t i = 0; i < hierarchy.nodeCount(); ++i) {
-        const hw::HierarchyNode &n =
-            hierarchy.node(static_cast<hw::NodeId>(i));
-        os << i << ':' << n.group.toString() << ';';
+        out += std::to_string(i);
+        out += ':';
+        out += hierarchy.node(static_cast<hw::NodeId>(i)).group.toString();
+        out += ';';
     }
-    return os.str();
+    return out;
 }
 
 util::Json

@@ -1,7 +1,6 @@
 #include "hw/group.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/error.h"
 
@@ -121,13 +120,15 @@ AcceleratorGroup::split() const
 std::string
 AcceleratorGroup::toString() const
 {
-    std::ostringstream os;
+    std::string out;
     for (std::size_t i = 0; i < _slices.size(); ++i) {
         if (i)
-            os << " + ";
-        os << _slices[i].count << " x " << _slices[i].spec.name;
+            out += " + ";
+        out += std::to_string(_slices[i].count);
+        out += " x ";
+        out += _slices[i].spec.name;
     }
-    return os.str();
+    return out;
 }
 
 } // namespace accpar::hw

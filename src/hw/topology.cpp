@@ -23,15 +23,17 @@ GroupSlice
 parseSlice(const std::string &text)
 {
     const std::vector<std::string> fields = util::split(text, ':');
-    ACCPAR_REQUIRE(fields.size() == 2 || fields.size() == 6,
-                   "array slice '" << text
-                                   << "' must be name:count or "
-                                      "name:count:tflops:mem_gb:"
-                                      "mem_gbps:link_gbit");
+    if (fields.size() != 2 && fields.size() != 6)
+        throw util::ConfigError("array slice '" + text +
+                                "' must be name:count or "
+                                "name:count:tflops:mem_gb:mem_gbps:"
+                                "link_gbit");
     const std::string name = util::trim(fields[0]);
     const int count =
         static_cast<int>(parseNumber(fields[1], "count"));
-    ACCPAR_REQUIRE(count >= 1, "array slice count must be positive");
+    if (count < 1)
+        throw util::ConfigError("array slice '" + text +
+                                "' needs a positive board count");
 
     if (fields.size() == 2) {
         if (name == "tpu-v2")
@@ -59,7 +61,8 @@ AcceleratorGroup
 parseArraySpec(const std::string &spec)
 {
     const std::string text = util::trim(spec);
-    ACCPAR_REQUIRE(!text.empty(), "empty array spec");
+    if (text.empty())
+        throw util::ConfigError("empty array spec");
     if (util::toLower(text) == "hetero")
         return heterogeneousTpuArray();
     if (util::toLower(text) == "homo")
@@ -68,7 +71,13 @@ parseArraySpec(const std::string &spec)
     std::vector<GroupSlice> slices;
     for (const std::string &part : util::split(text, '+'))
         slices.push_back(parseSlice(util::trim(part)));
-    return AcceleratorGroup(slices);
+    AcceleratorGroup array(slices);
+    // Every array is partitioned over a Hierarchy, which needs a split.
+    if (array.size() < 2)
+        throw util::ConfigError("array spec '" + text +
+                                "' has 1 board; partitioning needs at "
+                                "least two");
+    return array;
 }
 
 } // namespace accpar::hw

@@ -165,13 +165,18 @@ namespace {
 std::int64_t
 batchOf(const ModelParams &params, std::int64_t fallback)
 {
-    return params.getIntOr("batch", fallback);
+    const std::int64_t batch = params.getIntOr("batch", fallback);
+    if (batch < 1)
+        throw util::ConfigError(
+            "model parameter batch must be a positive integer, got " +
+            std::to_string(batch));
+    return batch;
 }
 
 TransformerConfig
 transformerConfig(const ModelParams &params, TransformerConfig cfg)
 {
-    cfg.batch = params.getIntOr("batch", cfg.batch);
+    cfg.batch = batchOf(params, cfg.batch);
     cfg.seq = params.getIntOr("seq", cfg.seq);
     cfg.hidden = params.getIntOr("hidden", cfg.hidden);
     cfg.depth = params.getIntOr("depth", cfg.depth);

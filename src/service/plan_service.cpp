@@ -286,7 +286,7 @@ PlanService::executePlan(const ServiceRequest &request,
     }
 
     const std::string key = planRequestCanonicalKey(*plan_request);
-    if (std::optional<util::Json> payload = _cache.lookup(key)) {
+    if (const auto payload = _cache.lookup(key)) {
         _metrics.cacheHits.fetch_add(1, std::memory_order_relaxed);
         util::Json response =
             okResponse(request.id, RequestKind::Plan, *payload);
@@ -318,9 +318,11 @@ PlanService::executePlan(const ServiceRequest &request,
                                           hierarchy)))
             : util::Json();
 
-    _cache.insert(key, payload);
+    const auto shared =
+        std::make_shared<const util::Json>(std::move(payload));
+    _cache.insert(key, shared);
     util::Json response =
-        okResponse(request.id, RequestKind::Plan, payload);
+        okResponse(request.id, RequestKind::Plan, *shared);
     response["cached"] = false;
     return response;
 }
@@ -388,7 +390,7 @@ PlanService::executeSearch(const ServiceRequest &request,
     // run's luck as another run's answer.
     const std::string key = planRequestCanonicalKey(*plan_request);
     if (budget.cacheable) {
-        if (std::optional<util::Json> payload = _cache.lookup(key)) {
+        if (const auto payload = _cache.lookup(key)) {
             _metrics.cacheHits.fetch_add(1, std::memory_order_relaxed);
             util::Json response =
                 okResponse(request.id, RequestKind::Search, *payload);
@@ -437,10 +439,12 @@ PlanService::executeSearch(const ServiceRequest &request,
     }
     payload["anytime"] = std::move(anytime);
 
+    const auto shared =
+        std::make_shared<const util::Json>(std::move(payload));
     if (budget.cacheable)
-        _cache.insert(key, payload);
+        _cache.insert(key, shared);
     util::Json response =
-        okResponse(request.id, RequestKind::Search, payload);
+        okResponse(request.id, RequestKind::Search, *shared);
     response["cached"] = false;
     return response;
 }

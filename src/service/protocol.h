@@ -130,7 +130,7 @@ struct ServiceError
     std::string code;
     std::string message;
     /** Correlation id of the failing request, when it was readable. */
-    util::Json id;
+    util::Json id{};
 };
 
 /**

@@ -26,19 +26,19 @@ ResultCache::shardFor(const std::string &key)
     return *_shards[hash % _shards.size()];
 }
 
-std::optional<util::Json>
+std::shared_ptr<const util::Json>
 ResultCache::lookup(const std::string &key)
 {
     if (_capacity == 0) {
         _misses.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
+        return nullptr;
     }
     Shard &shard = shardFor(key);
     const util::LockGuard lock(shard.mutex);
     const auto it = shard.index.find(key);
     if (it == shard.index.end()) {
         _misses.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
+        return nullptr;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     _hits.fetch_add(1, std::memory_order_relaxed);
@@ -46,7 +46,8 @@ ResultCache::lookup(const std::string &key)
 }
 
 void
-ResultCache::insert(const std::string &key, util::Json payload)
+ResultCache::insert(const std::string &key,
+                    std::shared_ptr<const util::Json> payload)
 {
     if (_capacity == 0)
         return;

@@ -4,7 +4,9 @@
  *
  * Maps a canonical plan-request key (core::planRequestCanonicalKey) to
  * the fully rendered response payload, so a repeated query is answered
- * without re-running the hierarchical search. Keys are compared as full
+ * without re-running the hierarchical search. Payloads are immutable
+ * and shared: a hit hands out a reference, not a copy of the DOM, and
+ * stays valid after the entry is evicted. Keys are compared as full
  * strings — the canonical key is exact, so a hit is guaranteed to be
  * the byte-identical payload a fresh solve would have produced
  * (plans are deterministic for any jobs value).
@@ -22,7 +24,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,11 +65,13 @@ class ResultCache
     ResultCache(const ResultCache &) = delete;
     ResultCache &operator=(const ResultCache &) = delete;
 
-    /** Returns the cached payload and refreshes its recency. */
-    std::optional<util::Json> lookup(const std::string &key);
+    /** Returns the cached payload (null on a miss) and refreshes its
+     *  recency. */
+    std::shared_ptr<const util::Json> lookup(const std::string &key);
 
     /** Inserts (or refreshes) @p key; evicts LRU entries as needed. */
-    void insert(const std::string &key, util::Json payload);
+    void insert(const std::string &key,
+                std::shared_ptr<const util::Json> payload);
 
     ResultCacheStats stats() const;
     std::size_t size() const;
@@ -80,7 +83,7 @@ class ResultCache
     struct Entry
     {
         std::string key;
-        util::Json payload;
+        std::shared_ptr<const util::Json> payload;
     };
 
     struct Shard

@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -9,108 +10,24 @@
 
 namespace accpar::util {
 
-bool
-Json::asBool() const
-{
-    ACCPAR_REQUIRE(_kind == Kind::Bool, "json value is not a bool");
-    return _bool;
-}
-
-double
-Json::asNumber() const
-{
-    ACCPAR_REQUIRE(_kind == Kind::Number, "json value is not a number");
-    return _number;
-}
-
-std::int64_t
-Json::asInt() const
-{
-    const double v = asNumber();
-    const auto i = static_cast<std::int64_t>(std::llround(v));
-    ACCPAR_REQUIRE(std::abs(v - static_cast<double>(i)) < 1e-9,
-                   "json number " << v << " is not an integer");
-    return i;
-}
-
-const std::string &
-Json::asString() const
-{
-    ACCPAR_REQUIRE(_kind == Kind::String, "json value is not a string");
-    return _string;
-}
-
-const Json::Array &
-Json::asArray() const
-{
-    ACCPAR_REQUIRE(_kind == Kind::Array, "json value is not an array");
-    return _array;
-}
-
-const Json::Object &
-Json::asObject() const
-{
-    ACCPAR_REQUIRE(_kind == Kind::Object, "json value is not an object");
-    return _object;
-}
-
-const Json &
-Json::at(const std::string &key) const
-{
-    const Object &obj = asObject();
-    auto it = obj.find(key);
-    ACCPAR_REQUIRE(it != obj.end(), "json object has no key '" << key
-                                                               << "'");
-    return it->second;
-}
-
-bool
-Json::contains(const std::string &key) const
-{
-    return _kind == Kind::Object && _object.count(key) > 0;
-}
-
-Json &
-Json::operator[](const std::string &key)
-{
-    if (_kind == Kind::Null)
-        _kind = Kind::Object;
-    ACCPAR_REQUIRE(_kind == Kind::Object, "json value is not an object");
-    return _object[key];
-}
-
-void
-Json::push(Json value)
-{
-    if (_kind == Kind::Null)
-        _kind = Kind::Array;
-    ACCPAR_REQUIRE(_kind == Kind::Array, "json value is not an array");
-    _array.push_back(std::move(value));
-}
-
-bool
-Json::operator==(const Json &other) const
-{
-    if (_kind != other._kind)
-        return false;
-    switch (_kind) {
-      case Kind::Null:
-        return true;
-      case Kind::Bool:
-        return _bool == other._bool;
-      case Kind::Number:
-        return _number == other._number;
-      case Kind::String:
-        return _string == other._string;
-      case Kind::Array:
-        return _array == other._array;
-      case Kind::Object:
-        return _object == other._object;
-    }
-    return false;
-}
-
 namespace {
+
+/** Indexed by Json::Kind, for kind-mismatch messages. */
+const char *const kKindNames[] = {"null",     "a bool",   "a number",
+                                  "a string", "an array", "an object"};
+
+/** The alternative @p T of @p value, or a ConfigError naming both
+ *  kinds. */
+template <typename T, typename Variant>
+auto &
+alternative(Variant &value, Json::Kind wanted)
+{
+    if (auto *p = std::get_if<T>(&value))
+        return *p;
+    throw ConfigError(std::string("JSON value is ") +
+                      kKindNames[value.index()] + ", expected " +
+                      kKindNames[static_cast<int>(wanted)]);
+}
 
 void
 escapeString(std::string &out, const std::string &s)
@@ -153,90 +70,167 @@ escapeString(std::string &out, const std::string &s)
     out += '"';
 }
 
+/**
+ * Integral values below 9e15 in magnitude print as integers; all
+ * others as printf "%.17g" in the "C" locale, which is what to_chars
+ * with chars_format::general and precision 17 is defined to produce.
+ */
 void
 formatNumber(std::string &out, double v)
 {
-    ACCPAR_REQUIRE(std::isfinite(v),
-                   "json cannot represent non-finite number");
-    // Integers print without a fractional part.
-    const auto i = static_cast<std::int64_t>(v);
-    if (static_cast<double>(i) == v &&
-        std::abs(v) < 9.0e15) {
-        out += std::to_string(i);
-        return;
-    }
+    if (!std::isfinite(v))
+        throw ConfigError("JSON cannot represent a non-finite number");
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
+    std::to_chars_result result;
+    if (std::abs(v) < 9.0e15 &&
+        static_cast<double>(static_cast<std::int64_t>(v)) == v)
+        result = std::to_chars(buf, buf + sizeof(buf),
+                               static_cast<std::int64_t>(v));
+    else
+        result = std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::general, 17);
+    out.append(buf, result.ptr);
+}
+
+void
+newline(std::string &out, int indent, int depth)
+{
+    if (indent > 0) {
+        out += '\n';
+        out.append(static_cast<std::size_t>(indent) *
+                       static_cast<std::size_t>(depth),
+                   ' ');
+    }
 }
 
 } // namespace
 
+bool
+Json::asBool() const
+{
+    return alternative<bool>(_value, Kind::Bool);
+}
+
+double
+Json::asNumber() const
+{
+    return alternative<double>(_value, Kind::Number);
+}
+
+std::int64_t
+Json::asInt() const
+{
+    const double v = asNumber();
+    const auto i = static_cast<std::int64_t>(std::llround(v));
+    if (std::abs(v - static_cast<double>(i)) < 1e-9)
+        return i;
+    std::string text;
+    formatNumber(text, v);
+    throw ConfigError("JSON number " + text + " is not an integer");
+}
+
+const std::string &
+Json::asString() const
+{
+    return alternative<std::string>(_value, Kind::String);
+}
+
+const Json::Array &
+Json::asArray() const
+{
+    return alternative<Array>(_value, Kind::Array);
+}
+
+const Json::Object &
+Json::asObject() const
+{
+    return alternative<Object>(_value, Kind::Object);
+}
+
+const Json &
+Json::at(const std::string &key) const
+{
+    const Object &obj = asObject();
+    auto it = obj.find(key);
+    if (it == obj.end())
+        throw ConfigError("JSON object has no key '" + key + "'");
+    return it->second;
+}
+
+bool
+Json::contains(const std::string &key) const
+{
+    const Object *obj = std::get_if<Object>(&_value);
+    return obj && obj->count(key) > 0;
+}
+
+Json &
+Json::operator[](const std::string &key)
+{
+    if (isNull())
+        _value.emplace<Object>();
+    return alternative<Object>(_value, Kind::Object)[key];
+}
+
+void
+Json::push(Json value)
+{
+    if (isNull())
+        _value.emplace<Array>();
+    alternative<Array>(_value, Kind::Array).push_back(std::move(value));
+}
+
 void
 Json::dumpTo(std::string &out, int indent, int depth) const
 {
-    const std::string pad =
-        indent > 0 ? std::string(static_cast<std::size_t>(indent) *
-                                     (static_cast<std::size_t>(depth) +
-                                      1),
-                                 ' ')
-                   : std::string();
-    const std::string close_pad =
-        indent > 0 ? std::string(static_cast<std::size_t>(indent) *
-                                     static_cast<std::size_t>(depth),
-                                 ' ')
-                   : std::string();
-    const char *nl = indent > 0 ? "\n" : "";
-
-    switch (_kind) {
+    switch (kind()) {
       case Kind::Null:
         out += "null";
         break;
       case Kind::Bool:
-        out += _bool ? "true" : "false";
+        out += std::get<bool>(_value) ? "true" : "false";
         break;
       case Kind::Number:
-        formatNumber(out, _number);
+        formatNumber(out, std::get<double>(_value));
         break;
       case Kind::String:
-        escapeString(out, _string);
+        escapeString(out, std::get<std::string>(_value));
         break;
       case Kind::Array: {
-        if (_array.empty()) {
+        const Array &array = std::get<Array>(_value);
+        if (array.empty()) {
             out += "[]";
             break;
         }
         out += '[';
-        out += nl;
-        for (std::size_t i = 0; i < _array.size(); ++i) {
-            out += pad;
-            _array[i].dumpTo(out, indent, depth + 1);
-            if (i + 1 < _array.size())
+        for (std::size_t i = 0; i < array.size(); ++i) {
+            if (i > 0)
                 out += ',';
-            out += nl;
+            newline(out, indent, depth + 1);
+            array[i].dumpTo(out, indent, depth + 1);
         }
-        out += close_pad;
+        newline(out, indent, depth);
         out += ']';
         break;
       }
       case Kind::Object: {
-        if (_object.empty()) {
+        const Object &object = std::get<Object>(_value);
+        if (object.empty()) {
             out += "{}";
             break;
         }
         out += '{';
-        out += nl;
-        std::size_t i = 0;
-        for (const auto &[key, value] : _object) {
-            out += pad;
+        bool first = true;
+        for (const auto &[key, value] : object) {
+            if (!first)
+                out += ',';
+            first = false;
+            newline(out, indent, depth + 1);
             escapeString(out, key);
             out += indent > 0 ? ": " : ":";
             value.dumpTo(out, indent, depth + 1);
-            if (++i < _object.size())
-                out += ',';
-            out += nl;
         }
-        out += close_pad;
+        newline(out, indent, depth);
         out += '}';
         break;
       }
@@ -273,13 +267,20 @@ class Parser
         skipWs();
         Json value = parseValue();
         skipWs();
-        ACCPAR_REQUIRE(_pos == _text.size(),
-                       "trailing characters after json document at "
-                           << _pos);
+        if (_pos != _text.size())
+            throw error("trailing characters after JSON document");
         return value;
     }
 
   private:
+    /** The error for input rejected at the current offset, hlp-style:
+     *  the message carries the byte index where parsing stopped. */
+    ConfigError
+    error(const std::string &what) const
+    {
+        return ConfigError(what + " at byte " + std::to_string(_pos));
+    }
+
     void
     skipWs()
     {
@@ -291,17 +292,18 @@ class Parser
     char
     peek() const
     {
-        ACCPAR_REQUIRE(_pos < _text.size(),
-                       "unexpected end of json input");
+        if (_pos >= _text.size())
+            throw error("unexpected end of JSON input");
         return _text[_pos];
     }
 
     void
     expect(char c)
     {
-        ACCPAR_REQUIRE(peek() == c, "expected '" << c << "' at " << _pos
-                                                 << ", got '" << peek()
-                                                 << "'");
+        const char got = peek();
+        if (got != c)
+            throw error(std::string("expected '") + c + "', got '" +
+                        got + "'");
         ++_pos;
     }
 
@@ -322,10 +324,9 @@ class Parser
         skipWs();
         const char c = peek();
         if (c == '{' || c == '[') {
-            ACCPAR_REQUIRE(_depth < kMaxDepth,
-                           "json nesting deeper than " << kMaxDepth
-                                                       << " levels at "
-                                                       << _pos);
+            if (_depth >= kMaxDepth)
+                throw error("JSON nesting deeper than " +
+                            std::to_string(kMaxDepth) + " levels");
             ++_depth;
             Json value = c == '{' ? parseObject() : parseArray();
             --_depth;
@@ -398,8 +399,8 @@ class Parser
         expect('"');
         std::string out;
         while (true) {
-            ACCPAR_REQUIRE(_pos < _text.size(),
-                           "unterminated json string");
+            if (_pos >= _text.size())
+                throw error("unterminated JSON string");
             const char c = _text[_pos++];
             if (c == '"')
                 break;
@@ -407,8 +408,8 @@ class Parser
                 out += c;
                 continue;
             }
-            ACCPAR_REQUIRE(_pos < _text.size(),
-                           "unterminated escape in json string");
+            if (_pos >= _text.size())
+                throw error("unterminated escape in JSON string");
             const char esc = _text[_pos++];
             switch (esc) {
               case '"':
@@ -436,8 +437,8 @@ class Parser
                 out += '\f';
                 break;
               case 'u': {
-                ACCPAR_REQUIRE(_pos + 4 <= _text.size(),
-                               "truncated \\u escape");
+                if (_pos + 4 > _text.size())
+                    throw error("truncated \\u escape");
                 unsigned code = 0;
                 for (int i = 0; i < 4; ++i) {
                     const char h = _text[_pos++];
@@ -449,7 +450,7 @@ class Parser
                     else if (h >= 'A' && h <= 'F')
                         code += static_cast<unsigned>(h - 'A' + 10);
                     else
-                        throw ConfigError("bad hex digit in \\u escape");
+                        throw error("bad hex digit in \\u escape");
                 }
                 // UTF-8 encode (BMP only).
                 if (code < 0x80) {
@@ -466,7 +467,7 @@ class Parser
                 break;
               }
               default:
-                throw ConfigError(std::string("bad escape \\") + esc);
+                throw error(std::string("bad escape \\") + esc);
             }
         }
         return out;
@@ -484,13 +485,16 @@ class Parser
                 _text[_pos] == 'E' || _text[_pos] == '+' ||
                 _text[_pos] == '-'))
             ++_pos;
-        ACCPAR_REQUIRE(_pos > start, "invalid json value at " << start);
+        if (_pos == start)
+            throw error("invalid JSON value");
         const std::string token = _text.substr(start, _pos - start);
         // Locale-independent (ALINT10): std::stod reads LC_NUMERIC
         // and would misparse "3.14" under a comma locale.
         const std::optional<double> value = parseDouble(token);
-        ACCPAR_REQUIRE(value.has_value(),
-                       "invalid json number '" << token << "'");
+        if (!value) {
+            _pos = start;
+            throw error("invalid JSON number '" + token + "'");
+        }
         return Json(*value);
     }
 

@@ -6,6 +6,13 @@
  * full JSON data model (null, bool, number, string with escapes, array,
  * object) minus exotic corners we do not need (no \u surrogate pairs
  * beyond the BMP, numbers parsed as double).
+ *
+ * A value holds exactly one alternative (a std::variant in Kind
+ * order), so a node costs the size of its largest payload, not of all
+ * five. Numbers serialize as integers when integral and below 9e15 in
+ * magnitude, otherwise with 17 significant digits exactly as C printf
+ * formats them in the "C" locale (see formatNumber in json.cpp); the
+ * output bytes are part of the plan and certificate formats.
  */
 
 #ifndef ACCPAR_UTIL_JSON_H
@@ -13,8 +20,8 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace accpar::util {
@@ -31,25 +38,23 @@ class Json
 
     /// @name Constructors for each kind.
     /// @{
-    Json() : _kind(Kind::Null) {}
-    Json(std::nullptr_t) : _kind(Kind::Null) {}
-    Json(bool value) : _kind(Kind::Bool), _bool(value) {}
-    Json(double value) : _kind(Kind::Number), _number(value) {}
+    Json() = default;
+    Json(std::nullptr_t) {}
+    Json(bool value) : _value(value) {}
+    Json(double value) : _value(value) {}
     Json(int value) : Json(static_cast<double>(value)) {}
     Json(std::int64_t value) : Json(static_cast<double>(value)) {}
-    Json(const char *value) : _kind(Kind::String), _string(value) {}
-    Json(std::string value)
-        : _kind(Kind::String), _string(std::move(value))
+    Json(const char *value)
+        : _value(std::in_place_type<std::string>, value)
     {
     }
-    Json(Array value) : _kind(Kind::Array), _array(std::move(value)) {}
-    Json(Object value) : _kind(Kind::Object), _object(std::move(value))
-    {
-    }
+    Json(std::string value) : _value(std::move(value)) {}
+    Json(Array value) : _value(std::move(value)) {}
+    Json(Object value) : _value(std::move(value)) {}
     /// @}
 
-    Kind kind() const { return _kind; }
-    bool isNull() const { return _kind == Kind::Null; }
+    Kind kind() const { return static_cast<Kind>(_value.index()); }
+    bool isNull() const { return kind() == Kind::Null; }
 
     /// @name Typed access; throws ConfigError on kind mismatch.
     /// @{
@@ -67,7 +72,8 @@ class Json
     /** True when this is an object containing @p key. */
     bool contains(const std::string &key) const;
 
-    /** Mutable object member (creates the entry; must be an object). */
+    /** Mutable object member (creates the entry; must be an object
+     *  or null; null becomes an empty object first). */
     Json &operator[](const std::string &key);
 
     /** Appends to an array (must be an array or null; null becomes
@@ -77,20 +83,21 @@ class Json
     /** Serializes; @p indent > 0 pretty-prints with that many spaces. */
     std::string dump(int indent = 0) const;
 
-    /** Parses a document; throws ConfigError on malformed input. */
+    /** Parses a document; throws ConfigError naming the byte offset
+     *  on malformed input. */
     static Json parse(const std::string &text);
 
-    bool operator==(const Json &other) const;
+    bool operator==(const Json &other) const
+    {
+        return _value == other._value;
+    }
 
   private:
     void dumpTo(std::string &out, int indent, int depth) const;
 
-    Kind _kind = Kind::Null;
-    bool _bool = false;
-    double _number = 0.0;
-    std::string _string;
-    Array _array;
-    Object _object;
+    std::variant<std::nullptr_t, bool, double, std::string, Array,
+                 Object>
+        _value;
 };
 
 } // namespace accpar::util

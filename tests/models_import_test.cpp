@@ -170,8 +170,9 @@ TEST(ImportDot, TruncatedTextNeverCrashes)
     for (std::size_t cut = 0; cut < dot.size(); cut += 17) {
         analysis::DiagnosticSink sink;
         const auto g = models::importDot(dot.substr(0, cut), sink);
-        if (!g.has_value())
+        if (!g.has_value()) {
             EXPECT_GT(sink.errorCount(), 0u) << "cut " << cut;
+        }
     }
 }
 

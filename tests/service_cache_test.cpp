@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,21 +24,21 @@ using service::LatencyHistogram;
 using service::Metrics;
 using service::ResultCache;
 
-util::Json
+std::shared_ptr<const util::Json>
 payload(int value)
 {
     util::Json doc = util::Json::Object{};
     doc["value"] = value;
-    return doc;
+    return std::make_shared<const util::Json>(std::move(doc));
 }
 
 TEST(ResultCache, MissThenHit)
 {
     ResultCache cache(8);
-    EXPECT_FALSE(cache.lookup("a").has_value());
+    EXPECT_FALSE(cache.lookup("a"));
     cache.insert("a", payload(1));
     const auto hit = cache.lookup("a");
-    ASSERT_TRUE(hit.has_value());
+    ASSERT_TRUE(hit);
     EXPECT_EQ(hit->at("value").asInt(), 1);
 
     const auto stats = cache.stats();
@@ -62,12 +63,12 @@ TEST(ResultCache, EvictsLeastRecentlyUsed)
     ResultCache cache(2, 1);
     cache.insert("a", payload(1));
     cache.insert("b", payload(2));
-    ASSERT_TRUE(cache.lookup("a").has_value()); // refresh "a"
-    cache.insert("c", payload(3));              // evicts "b"
+    ASSERT_TRUE(cache.lookup("a")); // refresh "a"
+    cache.insert("c", payload(3));  // evicts "b"
 
-    EXPECT_TRUE(cache.lookup("a").has_value());
-    EXPECT_FALSE(cache.lookup("b").has_value());
-    EXPECT_TRUE(cache.lookup("c").has_value());
+    EXPECT_TRUE(cache.lookup("a"));
+    EXPECT_FALSE(cache.lookup("b"));
+    EXPECT_TRUE(cache.lookup("c"));
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_LE(cache.size(), 2u);
 }
@@ -76,7 +77,7 @@ TEST(ResultCache, ZeroCapacityDisablesCaching)
 {
     ResultCache cache(0);
     cache.insert("a", payload(1));
-    EXPECT_FALSE(cache.lookup("a").has_value());
+    EXPECT_FALSE(cache.lookup("a"));
     EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -95,7 +96,34 @@ TEST(ResultCache, ClearEmptiesEveryShard)
     EXPECT_GT(cache.size(), 0u);
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
-    EXPECT_FALSE(cache.lookup("key0").has_value());
+    EXPECT_FALSE(cache.lookup("key0"));
+}
+
+TEST(ResultCache, HeldPayloadOutlivesEvictionAndClear)
+{
+    // A hit shares the cached payload instead of copying it, so a
+    // payload handed out must stay valid and unchanged while another
+    // thread evicts its entry or clears the cache (a TSan target).
+    ResultCache cache(2, 1);
+    cache.insert("a", payload(1));
+    const std::shared_ptr<const util::Json> held = cache.lookup("a");
+    ASSERT_TRUE(held);
+    const std::string before = held->dump();
+
+    std::thread writer([&cache] {
+        for (int i = 0; i < 400; ++i) {
+            cache.insert("k" + std::to_string(i), payload(i));
+            if (i % 100 == 0)
+                cache.clear();
+        }
+    });
+    for (int i = 0; i < 400; ++i)
+        EXPECT_EQ(held->dump(), before);
+    writer.join();
+
+    EXPECT_FALSE(cache.lookup("a"));
+    EXPECT_EQ(held->at("value").asInt(), 1);
+    EXPECT_EQ(held->dump(), before);
 }
 
 TEST(ResultCache, ConcurrentMixedLoadIsSafe)

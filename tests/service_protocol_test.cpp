@@ -96,6 +96,29 @@ TEST(ServiceProtocol, MalformedJsonIsASRV01)
     expectError(parseRequest(""), service::kErrParse);
 }
 
+TEST(ServiceProtocol, ParseErrorNamesByteOffsetOnly)
+{
+    // Clients see where their line broke, not the server's check
+    // conditions or source paths.
+    const auto truncated_result =
+        parseRequest(R"({"kind":"plan","id":)");
+    const ServiceError &truncated =
+        expectError(truncated_result, service::kErrParse);
+    EXPECT_EQ(truncated.message,
+              "malformed request: unexpected end of JSON input at "
+              "byte 20");
+    const auto bad_char_result = parseRequest(R"({"kind" "plan"})");
+    const ServiceError &bad_char =
+        expectError(bad_char_result, service::kErrParse);
+    EXPECT_EQ(bad_char.message,
+              "malformed request: expected ':', got '\"' at byte 8");
+    for (const ServiceError *error : {&truncated, &bad_char}) {
+        EXPECT_EQ(error->message.find("requirement failed"),
+                  std::string::npos);
+        EXPECT_EQ(error->message.find(".cpp:"), std::string::npos);
+    }
+}
+
 TEST(ServiceProtocol, DeeplyNestedLineIsASRV01)
 {
     // The hardened JSON parser bounds recursion; a pathological line

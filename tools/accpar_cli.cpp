@@ -86,7 +86,12 @@ resolveModel(const util::Args &args)
 int
 jobsArg(const util::Args &args)
 {
-    return static_cast<int>(args.getIntOr("jobs", 1));
+    const std::int64_t jobs = args.getIntOr("jobs", 1);
+    if (jobs < 0)
+        throw util::ConfigError(
+            "flag --jobs must be >= 0 (0 = all hardware threads), got " +
+            std::to_string(jobs));
+    return static_cast<int>(jobs);
 }
 
 sim::TrainingSimConfig
