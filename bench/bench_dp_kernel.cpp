@@ -9,26 +9,6 @@
  * isolates the kernel itself. Plans are asserted byte-identical
  * between the arms before any timing is reported.
  *
- * Two further comparisons ride on the same report (DESIGN.md §17):
- *
- *  - scalar vs dispatched batch kernels: every row is re-timed with
- *    setBatchKernelForceScalar(true), plans asserted byte-identical,
- *    and the dispatched arm must not lose to the forced-scalar one
- *    when a vector backend is active (with a 5% guard band — on the
- *    single-core CI runners the two arms do nearly identical work on
- *    linear-ratio rows, and a strict 1.0 cut would flake on scheduler
- *    noise while a genuine vectorization regression is far larger);
- *  - the batched alpha sweep on the resnet50-exact root pair's cost
- *    tables: many candidates through one pass over the term arrays
- *    (sideTotalsBatch) against the pre-batching per-alpha walk (one
- *    sideTotal pair per candidate), outputs asserted bit-identical
- *    lane for lane, with a hard >= 1.5x gate when a vector backend is
- *    active. The sequential-bisection replacement (solveRatioExact's
- *    multisection vs solveRatioExactPerAlpha) is asserted
- *    bit-identical and must not be slower, but its speedup is bounded
- *    by divider throughput (§17), so the 1.5x gate applies to the
- *    sweep kernel the search oracle batches through.
- *
  * Timing is interleaved A/B sampling: shared single-core runners show
  * 2-3x wall-clock drift across a bench run (host contention,
  * frequency scaling), so timing one arm after the other makes any
@@ -38,22 +18,18 @@
  * the per-sample ratios.
  *
  * Exits nonzero if the flattened kernel is slower than legacy on any
- * row or either §17 gate fails — CI runs this as a perf smoke test and
- * fails on regression.
+ * row — CI runs this as a perf smoke test and fails on regression.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <cstddef>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_json.h"
-#include "core/batch_kernels.h"
 #include "core/hierarchical_solver.h"
 #include "core/plan_io.h"
-#include "core/ratio_solver.h"
 #include "hw/hierarchy.h"
 #include "models/zoo.h"
 #include "support/legacy_dp.h"
@@ -149,11 +125,8 @@ main()
     };
 
     bench::BenchReport report("dp_kernel");
-    util::Table table({"row", "legacy ms", "flattened ms", "speedup",
-                       "scalar ms", "simd speedup"});
+    util::Table table({"row", "legacy ms", "flattened ms", "speedup"});
     bool regressed = false;
-    const bool simd_active =
-        std::string(core::batchKernelVariantName()) != "scalar";
 
     for (const Row &row : rows) {
         const core::PartitionProblem problem(
@@ -185,192 +158,25 @@ main()
         if (speedup < 1.0)
             regressed = true;
 
-        // Scalar-reference arm: same solve with the batch kernels
-        // forced to the scalar table (toggled around each run so both
-        // arms interleave). The dispatched arm must produce
-        // byte-identical plans always, and must not lose when a vector
-        // backend is actually active (5% measurement guard band, see
-        // the file comment).
-        const bool prev_force = core::setBatchKernelForceScalar(true);
-        const core::PartitionPlan scalar_plan =
-            core::solveHierarchy(problem, hierarchy, options);
-        core::setBatchKernelForceScalar(prev_force);
-        if (core::planToJson(scalar_plan, hierarchy).dump() !=
-            core::planToJson(flat_plan, hierarchy).dump()) {
-            std::cerr << "FAIL: scalar and "
-                      << core::batchKernelVariantName()
-                      << " plans diverge on " << row.name << '\n';
-            return 1;
-        }
-        const Comparison scalar_vs_simd = compareNs(
-            [&] {
-                const bool prev =
-                    core::setBatchKernelForceScalar(true);
-                core::solveHierarchy(problem, hierarchy, options);
-                core::setBatchKernelForceScalar(prev);
-            },
-            [&] { core::solveHierarchy(problem, hierarchy, options); });
-        const double scalar_ns = scalar_vs_simd.baseNs;
-        const double simd_speedup = scalar_vs_simd.speedup;
-        if (simd_active && simd_speedup < 0.95)
-            regressed = true;
-
         util::Json &metrics = report.addRow(row.name);
         metrics["legacy_ns_per_solve"] = legacy_ns;
         metrics["flattened_ns_per_solve"] = flat_ns;
         metrics["speedup"] = speedup;
-        metrics["scalar_ns_per_solve"] = scalar_ns;
-        metrics["simd_speedup"] = simd_speedup;
 
-        table.addRow(row.name,
-                     {legacy_ns / 1e6, flat_ns / 1e6, speedup,
-                      scalar_ns / 1e6, simd_speedup},
+        table.addRow(row.name, {legacy_ns / 1e6, flat_ns / 1e6, speedup},
                      3);
     }
 
-    // The batched alpha sweep on the resnet50-exact root pair: the
-    // tables the ExactBalance fixed point actually solves over, built
-    // from the plan's own root type assignment.
-    double sweep_speedup = 0.0;
-    double multisection_speedup = 0.0;
-    {
-        const core::PartitionProblem problem(
-            models::buildModel("resnet50", 512));
-        const hw::Hierarchy hierarchy(
-            hw::heterogeneousTpuArrayForLevels(4));
-        core::SolverOptions options;
-        options.ratioPolicy = core::RatioPolicy::ExactBalance;
-        const core::PartitionPlan plan =
-            core::solveHierarchy(problem, hierarchy, options);
-
-        const hw::HierarchyNode &root =
-            hierarchy.node(hierarchy.root());
-        const core::GroupRates left{
-            hierarchy.node(root.left).group.computeDensity(),
-            hierarchy.node(root.left).group.linkBandwidth()};
-        const core::GroupRates right{
-            hierarchy.node(root.right).group.computeDensity(),
-            hierarchy.node(root.right).group.linkBandwidth()};
-        core::PairCostModel model(left, right, options.cost);
-        model.setAlpha(plan.nodePlan(hierarchy.root()).alpha);
-        const core::RatioCostTables tables(
-            problem.condensed(), problem.baseDims(), model,
-            plan.nodePlan(hierarchy.root()).types);
-
-        // The multisection replacement of the sequential bisection:
-        // bit-identical result, and never slower (its speedup is
-        // divider-bound, so no 1.5x demand here).
-        core::RatioBracket batched_bracket, per_alpha_bracket;
-        const double batched_alpha =
-            core::solveRatioExact(tables, &batched_bracket);
-        const double per_alpha_alpha =
-            core::solveRatioExactPerAlpha(tables, &per_alpha_bracket);
-        if (batched_alpha != per_alpha_alpha ||
-            batched_bracket.lo != per_alpha_bracket.lo ||
-            batched_bracket.hi != per_alpha_bracket.hi) {
-            std::cerr << "FAIL: batched multisection diverges from "
-                         "per-alpha bisection\n";
-            return 1;
-        }
-        const Comparison solve_cmp =
-            compareNs([&] { core::solveRatioExactPerAlpha(tables); },
-                      [&] { core::solveRatioExact(tables); });
-        const double exact_ns = solve_cmp.candNs;
-        const double per_alpha_solve_ns = solve_cmp.baseNs;
-        multisection_speedup = solve_cmp.speedup;
-
-        // The sweep itself: 256 candidates through one batched pass
-        // over the term arrays vs 256 individual per-alpha walks — the
-        // shape planBatch and the annealing lookahead feed the oracle.
-        constexpr std::size_t kSweep = 256;
-        std::vector<double> alphas(kSweep);
-        std::vector<double> batched_l(kSweep), batched_r(kSweep);
-        std::vector<double> walked_l(kSweep), walked_r(kSweep);
-        for (std::size_t i = 0; i < kSweep; ++i)
-            alphas[i] = (static_cast<double>(i) + 0.5) /
-                        static_cast<double>(kSweep);
-        tables.sideTotalsBatch(alphas.data(), kSweep, batched_l.data(),
-                               batched_r.data());
-        for (std::size_t i = 0; i < kSweep; ++i) {
-            walked_l[i] = tables.sideTotal(core::Side::Left, alphas[i]);
-            walked_r[i] = tables.sideTotal(core::Side::Right, alphas[i]);
-        }
-        for (std::size_t i = 0; i < kSweep; ++i) {
-            if (batched_l[i] != walked_l[i] ||
-                batched_r[i] != walked_r[i]) {
-                std::cerr << "FAIL: batched sweep lane " << i
-                          << " diverges from the per-alpha walk\n";
-                return 1;
-            }
-        }
-
-        volatile double sink = 0.0;
-        const Comparison sweep_cmp = compareNs(
-            [&] {
-                double acc = 0.0;
-                for (std::size_t i = 0; i < kSweep; ++i) {
-                    acc +=
-                        tables.sideTotal(core::Side::Left, alphas[i]);
-                    acc +=
-                        tables.sideTotal(core::Side::Right, alphas[i]);
-                }
-                sink = sink + acc;
-            },
-            [&] {
-                tables.sideTotalsBatch(alphas.data(), kSweep,
-                                       batched_l.data(),
-                                       batched_r.data());
-            });
-        const double batched_sweep_ns = sweep_cmp.candNs;
-        const double per_alpha_sweep_ns = sweep_cmp.baseNs;
-        sweep_speedup = sweep_cmp.speedup;
-
-        util::Json &metrics = report.addRow("alpha-sweep-resnet50-exact");
-        metrics["term_count"] =
-            static_cast<double>(tables.termCount());
-        metrics["sweep_alphas"] = static_cast<double>(kSweep);
-        metrics["per_alpha_sweep_ns"] = per_alpha_sweep_ns;
-        metrics["batched_sweep_ns"] = batched_sweep_ns;
-        metrics["sweep_speedup"] = sweep_speedup;
-        metrics["per_alpha_ns_per_solve"] = per_alpha_solve_ns;
-        metrics["multisection_ns_per_solve"] = exact_ns;
-        metrics["multisection_speedup"] = multisection_speedup;
-
-        std::cout << "alpha sweep (resnet50-exact root pair, "
-                  << tables.termCount() << " terms, " << kSweep
-                  << " alphas): per-alpha " << per_alpha_sweep_ns / 1e3
-                  << " us, batched " << batched_sweep_ns / 1e3
-                  << " us, speedup " << sweep_speedup
-                  << "x; exact-solve multisection speedup "
-                  << multisection_speedup << "x\n";
-    }
-
     std::cout << "DP kernel: flattened vs legacy hierarchical solve "
-                 "(batch 512, 4-level heterogeneous array, "
-              << core::batchKernelVariantName()
-              << " kernels, speedups are medians of " << kSamples
-              << " interleaved samples)\n";
+                 "(batch 512, 4-level heterogeneous array, speedups are "
+                 "medians of "
+              << kSamples << " interleaved samples)\n";
     table.print(std::cout);
     report.write();
 
     if (regressed) {
-        std::cerr << "FAIL: flattened kernel slower than legacy or "
-                     "dispatched kernels slower than scalar\n";
+        std::cerr << "FAIL: flattened kernel slower than legacy\n";
         return 1;
     }
-    if (simd_active && sweep_speedup < 1.5) {
-        std::cerr << "FAIL: batched alpha sweep speedup "
-                  << sweep_speedup << "x below the 1.5x gate\n";
-        return 1;
-    }
-    if (simd_active && multisection_speedup < 1.0) {
-        std::cerr << "FAIL: multisection exact solve slower than the "
-                     "sequential per-alpha bisection ("
-                  << multisection_speedup << "x)\n";
-        return 1;
-    }
-    if (!simd_active)
-        std::cout << "note: scalar-only build/CPU, vector gates "
-                     "skipped\n";
     return 0;
 }

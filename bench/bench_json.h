@@ -9,16 +9,13 @@
  *   {
  *     "schema": "accpar-bench-v1",
  *     "bench": "<name>",
- *     "context": {"simd_variant": "<kernel>", "simd_lanes": number},
  *     "rows": [ {"name": "<row>", "metrics": {"<metric>": number}} ]
  *   }
  *
  * so CI jobs and regression tooling can diff results across commits
  * without scraping tables. Row order is insertion order; metric keys
  * within a row are sorted (util::Json objects are ordered maps), which
- * keeps the files byte-stable for identical results. The context block
- * records which batch-kernel backend (DESIGN.md §17) produced the
- * numbers so dashboards never compare across backends silently.
+ * keeps the files byte-stable for identical results.
  */
 
 #ifndef ACCPAR_BENCH_BENCH_JSON_H
@@ -30,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/batch_kernels.h"
 #include "sim/report.h"
 #include "util/error.h"
 #include "util/json.h"
@@ -61,12 +57,6 @@ class BenchReport
         util::Json doc = util::Json::Object{};
         doc["schema"] = "accpar-bench-v1";
         doc["bench"] = _name;
-        util::Json context = util::Json::Object{};
-        context["simd_variant"] =
-            std::string(core::batchKernelVariantName());
-        context["simd_lanes"] =
-            static_cast<double>(core::batchKernelLanes());
-        doc["context"] = std::move(context);
         util::Json rows = util::Json::Array{};
         for (const auto &[row_name, metrics] : _rows) {
             util::Json row = util::Json::Object{};

@@ -39,9 +39,11 @@ namespace accpar::analysis {
  * catalog for the compiled architecture & determinism analyzer
  * (accpar-analyze, DESIGN.md §18) and the tracked-build-tree lint;
  * 6 = ALINT12 widened to also flag named tests/data files that git
- * does not track.
+ * does not track; 7 = ALINT07 (raw SIMD intrinsics outside
+ * util/simd.h) retired with the SIMD backends, and ALINT02 reads only
+ * code, not comments, and also covers floating std::to_chars calls.
  */
-inline constexpr int kRuleCatalogRevision = 6;
+inline constexpr int kRuleCatalogRevision = 7;
 
 /** How bad a finding is. */
 enum class Severity

@@ -12,6 +12,25 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/**
+ * The relaxation step of one chain element in structure-of-arrays form:
+ * all nine candidates cand[t * 3 + tt] = (prev[tt] + transT[t * 3 + tt])
+ * + node[t], left-associated, from the to-major 3x3 transition block.
+ */
+void
+candidates9(const double *prev, const double *transT, const double *node,
+            double *cand)
+{
+    for (int t = 0; t < 3; ++t) {
+        const double node_cost = node[t];
+        const double *column = transT + 3 * t;
+        double *out = cand + 3 * t;
+        out[0] = (prev[0] + column[0]) + node_cost;
+        out[1] = (prev[1] + column[1]) + node_cost;
+        out[2] = (prev[2] + column[2]) + node_cost;
+    }
+}
+
 } // namespace
 
 DpStructure::DpStructure(const CondensedGraph &graph, const Chain &chain)
@@ -139,9 +158,7 @@ DpKernel::init()
 
     _rootState = makeState(*_structure._root);
     _nodeTable.assign(graph.size() * 3, 0.0);
-    // One trailing pad element keeps the batch kernel's four-wide
-    // column loads of the last edge in bounds.
-    _edgeTableT.assign(edges.size() * 9 + 1, 0.0);
+    _edgeTableT.assign(edges.size() * 9, 0.0);
 }
 
 DpKernel::~DpKernel() = default;
@@ -280,17 +297,15 @@ DpKernel::solveChain(const CompiledChain &chain, ChainState &state,
 
         if (!par) {
             // Non-parallel element: all nine (target, source)
-            // candidates in one batched pass over the to-major 3x3
-            // transition block. The kernel computes the exact scalar
-            // expression (prev + trans) + node per lane; cells the
-            // reduction below never reads (disallowed types, infinite
-            // predecessors) are computed into the scratch but
-            // discarded. The reduction keeps the scalar allowed-type
-            // iteration order and strict-< first-wins tie-break.
-            double cand[12];
-            _ops->candidates9(prev_cost,
-                              _edgeTableT.data() + elem.edgePrev * 9,
-                              _nodeTable.data() + elem.node * 3, cand);
+            // candidates in one pass over the to-major 3x3 transition
+            // block. Cells the reduction below never reads (disallowed
+            // types, infinite predecessors) are computed into the
+            // scratch but discarded. The reduction keeps the
+            // allowed-type iteration order and strict-< first-wins
+            // tie-break.
+            double cand[9];
+            candidates9(prev_cost, _edgeTableT.data() + elem.edgePrev * 9,
+                        _nodeTable.data() + elem.node * 3, cand);
             for (PartitionType t : allowed[elem.node]) {
                 const int ti = partitionTypeIndex(t);
                 double best = kInf;
@@ -377,7 +392,6 @@ DpKernel::solve(const PairCostModel &model,
                    "type restriction size mismatch");
     _model = &model;
     _allowed = &allowed;
-    _ops = &activeBatchKernelOps();
 
     // Step 1: dense cost tables, restricted to the allowed types (the
     // DP never reads a disallowed entry). Same model entry points and

@@ -24,10 +24,9 @@
  *        restricted to the allowed types;
  *     2. run the DP as pure array arithmetic — the relaxation step of
  *        each chain element computes all nine (target, source)
- *        candidates through the dispatched batch kernel
- *        (structure-of-arrays over the 3x3 transition block, see
- *        core/batch_kernels.h and DESIGN.md §17) and reduces them in
- *        the scalar allowed-type order — recording per-(element, type)
+ *        candidates in one structure-of-arrays pass over the 3x3
+ *        transition block (DESIGN.md §17) and reduces them in the
+ *        allowed-type order — recording per-(element, type)
  *        parent pointers instead of assignments, and solving each
  *        parallel path once per feasible entry type;
  *     3. reconstruct the winning assignment in one backtracking pass.
@@ -38,9 +37,7 @@
  * Every cost is obtained through the same PairCostModel entry points as
  * before (identical arguments, identical order of comparisons and
  * additions), so results are bit-identical to the original path — the
- * property tests assert this against the frozen legacy copy, and the
- * batch-kernel contract guarantees the vectorized candidates match the
- * scalar relaxation bit for bit.
+ * property tests assert this against the frozen legacy copy.
  */
 
 #ifndef ACCPAR_CORE_DP_KERNEL_H
@@ -51,7 +48,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/batch_kernels.h"
 #include "core/chain_dp.h"
 #include "core/condensed_graph.h"
 #include "core/cost_model.h"
@@ -239,14 +235,8 @@ class DpKernel
     /** Scratch filled per solve(). */
     const PairCostModel *_model = nullptr;
     const TypeRestrictions *_allowed = nullptr;
-    const BatchKernelOps *_ops = nullptr;
     std::vector<double> _nodeTable; ///< [node * 3 + t]
-    /**
-     * To-major transition table: [edge * 9 + to * 3 + from], one extra
-     * trailing element so the batch kernel's four-wide column loads of
-     * the last edge stay in bounds (the pad is written by no one after
-     * init and read only as a discarded lane).
-     */
+    /** To-major transition table: [edge * 9 + to * 3 + from]. */
     std::vector<double> _edgeTableT;
 };
 

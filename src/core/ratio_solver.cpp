@@ -91,15 +91,15 @@ RatioCostTables::RatioCostTables(const CondensedGraph &graph,
     // are exactly +0.0 for every alpha (junction nodes, the zero cells
     // of Table 5) are dropped — adding +0.0 to a non-negative running
     // sum never changes its bits. Storage is one parallel array per
-    // coefficient so the batch kernels stream the terms directly.
+    // coefficient.
     const std::size_t reserve = graph.size() * 2;
     _kind.reserve(reserve);
     _a.reserve(reserve);
     _aSide0.reserve(reserve);
     _aSide1.reserve(reserve);
     _flops.reserve(reserve);
-    auto pushTerm = [&](RatioTermsView::Kind kind, double a,
-                        double aSide0, double aSide1, double flops) {
+    auto pushTerm = [&](Kind kind, double a, double aSide0,
+                        double aSide1, double flops) {
         _kind.push_back(static_cast<std::uint8_t>(kind));
         _a.push_back(a);
         _aSide0.push_back(aSide0);
@@ -112,11 +112,10 @@ RatioCostTables::RatioCostTables(const CondensedGraph &graph,
             const double intra =
                 PairCostModel::intraCommElements(types[v], dims[v]);
             if (_time)
-                pushTerm(RatioTermsView::NodeTime, 0.0,
-                         intra * _bpe / _link[0], intra * _bpe / _link[1],
-                         dims[v].flopsTotal());
+                pushTerm(NodeTime, 0.0, intra * _bpe / _link[0],
+                         intra * _bpe / _link[1], dims[v].flopsTotal());
             else
-                pushTerm(RatioTermsView::NodeComm, intra, 0.0, 0.0, 0.0);
+                pushTerm(NodeComm, intra, 0.0, 0.0, 0.0);
         }
         for (CNodeId u : node.preds) {
             const double boundary = std::min(dims[u].sizeOutput(),
@@ -129,103 +128,79 @@ RatioCostTables::RatioCostTables(const CondensedGraph &graph,
                  to == PartitionType::TypeII) ||
                 (from == PartitionType::TypeIII &&
                  to == PartitionType::TypeI)) {
-                pushTerm(RatioTermsView::EdgeBilinear, boundary, 0.0,
-                         0.0, 0.0);
+                pushTerm(EdgeBilinear, boundary, 0.0, 0.0, 0.0);
             } else if ((from == PartitionType::TypeI &&
                         to == PartitionType::TypeIII) ||
                        (from == PartitionType::TypeII &&
                         to != PartitionType::TypeIII) ||
                        (from == PartitionType::TypeIII &&
                         to == PartitionType::TypeIII)) {
-                pushTerm(RatioTermsView::EdgeOther, boundary, 0.0, 0.0,
-                         0.0);
+                pushTerm(EdgeOther, boundary, 0.0, 0.0, 0.0);
             }
             // else: the zero cells of Table 5
         }
     }
 }
 
-RatioTermsView
-RatioCostTables::view() const
+std::array<double, 2>
+RatioCostTables::sideTotals(double alpha) const
 {
-    RatioTermsView view;
-    view.kind = _kind.data();
-    view.a = _a.data();
-    view.aSide0 = _aSide0.data();
-    view.aSide1 = _aSide1.data();
-    view.flops = _flops.data();
-    view.count = _kind.size();
-    view.time = _time;
-    view.includeCompute = _includeCompute;
-    view.bpe = _bpe;
-    view.link[0] = _link[0];
-    view.link[1] = _link[1];
-    view.compute[0] = _compute[0];
-    view.compute[1] = _compute[1];
-    return view;
-}
+    // own/other are derived exactly as PairCostModel::ratio does: the
+    // right side's own share is 1 - alpha, and its "other" is
+    // 1 - (1 - alpha) — NOT alpha, whose bits can differ.
+    const double own[2] = {alpha, 1.0 - alpha};
+    const double other[2] = {1.0 - own[0], 1.0 - own[1]};
 
-void
-RatioCostTables::sideTotalsBatch(const double *alphas, std::size_t n,
-                                 double *outLeft,
-                                 double *outRight) const
-{
-    if (n == 0)
-        return;
-    activeBatchKernelOps().ratioBothSides(view(), alphas, n, outLeft,
-                                          outRight);
+    // Each side's accumulator sees exactly the per-term operation
+    // sequence of a one-sided walk; the two never mix.
+    double total[2] = {0.0, 0.0};
+    for (std::size_t i = 0; i < _kind.size(); ++i) {
+        switch (_kind[i]) {
+          case NodeComm:
+            total[0] += _a[i];
+            total[1] += _a[i];
+            break;
+          case NodeTime: {
+            double cost[2] = {_aSide0[i], _aSide1[i]};
+            if (_includeCompute)
+                for (int s = 0; s < 2; ++s)
+                    cost[s] += own[s] * _flops[i] / _compute[s];
+            total[0] += cost[0];
+            total[1] += cost[1];
+            break;
+          }
+          case EdgeBilinear:
+            // Table 5's {own*other*a, own*other*a} pair: the forward
+            // and backward phases contribute the same product, summed
+            // as x + x like interCommElementsSplit's caller does.
+            for (int s = 0; s < 2; ++s) {
+                const double x = own[s] * other[s] * _a[i];
+                const double elems = x + x;
+                total[s] += _time ? elems * _bpe / _link[s] : elems;
+            }
+            break;
+          case EdgeOther:
+            for (int s = 0; s < 2; ++s) {
+                const double elems = other[s] * _a[i];
+                total[s] += _time ? elems * _bpe / _link[s] : elems;
+            }
+            break;
+        }
+    }
+    return {total[0], total[1]};
 }
 
 double
 RatioCostTables::sideTotal(Side side, double alpha) const
 {
-    // own/other are derived exactly as PairCostModel::ratio does: the
-    // right side's own share is 1 - alpha, and its "other" is
-    // 1 - (1 - alpha) — NOT alpha, whose bits can differ.
-    const double own = side == Side::Left ? alpha : 1.0 - alpha;
-    const double other = 1.0 - own;
-    const int si = static_cast<int>(side);
-
-    double total = 0.0;
-    for (std::size_t i = 0; i < _kind.size(); ++i) {
-        switch (_kind[i]) {
-          case RatioTermsView::NodeComm:
-            total += _a[i];
-            break;
-          case RatioTermsView::NodeTime: {
-            double cost = si == 0 ? _aSide0[i] : _aSide1[i];
-            if (_includeCompute)
-                cost += own * _flops[i] / _compute[si];
-            total += cost;
-            break;
-          }
-          case RatioTermsView::EdgeBilinear: {
-            // Table 5's {own*other*a, own*other*a} pair: the forward
-            // and backward phases contribute the same product, summed
-            // as x + x like interCommElementsSplit's caller does.
-            const double x = own * other * _a[i];
-            const double elems = x + x;
-            total += _time ? elems * _bpe / _link[si] : elems;
-            break;
-          }
-          case RatioTermsView::EdgeOther: {
-            const double elems = other * _a[i];
-            total += _time ? elems * _bpe / _link[si] : elems;
-            break;
-          }
-        }
-    }
-    return total;
+    return sideTotals(alpha)[static_cast<int>(side)];
 }
 
 double
 solveRatioLinear(const RatioCostTables &tables, double alpha0)
 {
     const double beta0 = 1.0 - alpha0;
-    // One single-lane batched pass covers both sides' walks.
-    double t_left = 0.0;
-    double t_right = 0.0;
-    tables.sideTotalsBatch(&alpha0, 1, &t_left, &t_right);
+    const auto [t_left, t_right] = tables.sideTotals(alpha0);
 
     // Linearization: T_L(a) = a * (T_L(a0) / a0), likewise for the right
     // side in (1 - a). Eq. 10 balance T_L(a) = T_R(1 - a) gives:
@@ -247,12 +222,6 @@ solveRatioLinear(const CondensedGraph &graph,
 }
 
 double
-solveRatioExact(const RatioCostTables &tables)
-{
-    return solveRatioExact(tables, nullptr);
-}
-
-double
 solveRatioExact(const RatioCostTables &tables, RatioBracket *bracket)
 {
     // T_L grows and T_R shrinks with alpha whenever the computation
@@ -260,90 +229,19 @@ solveRatioExact(const RatioCostTables &tables, RatioBracket *bracket)
     // balanced ratio is its root; max(T_L, T_R) is V-shaped around it.
     // (A ternary search on the max alone drifts to an arbitrary point
     // when communication dominates and the max is nearly flat.)
-    //
-    // The multisection below speculatively evaluates three candidates
-    // per two steps, which only pays off when the extra candidate
-    // rides in an otherwise-idle vector lane; on the scalar backend it
-    // would be 1.5x more term walks than plain bisection, so narrow
-    // backends take the sequential loop (same bits either way).
-    const BatchKernelOps &ops = activeBatchKernelOps();
-    if (ops.lanes < 3)
-        return solveRatioExactPerAlpha(tables, bracket);
-    const RatioTermsView terms = tables.view();
-
-    double lo = kRatioFloor;
-    double hi = 1.0 - kRatioFloor;
-    {
-        const double ends[2] = {lo, hi};
-        double left[2];
-        double right[2];
-        ops.ratioBothSides(terms, ends, 2, left, right);
-        if (left[0] - right[0] >= 0.0) {
-            if (bracket)
-                *bracket = {lo, lo};
-            return lo; // left side slower even with a minimal share
-        }
-        if (left[1] - right[1] <= 0.0) {
-            if (bracket)
-                *bracket = {hi, hi};
-            return hi;
-        }
-    }
-    // 80 bisection steps, two per round: evaluate the midpoint and both
-    // depth-2 midpoints in one batched pass, then pick the pair of
-    // updates sequential bisection would have made. The candidate
-    // expressions are formed exactly as the sequential loop forms them
-    // — m2l/m2r ARE the next round's 0.5 * (lo + hi) for either branch
-    // — so the (lo, hi) trajectory is bit-identical to
-    // solveRatioExactPerAlpha's while the term arrays are walked 41
-    // times instead of 82.
-    for (int round = 0; round < 40; ++round) {
-        const double m1 = 0.5 * (lo + hi);
-        const double m2l = 0.5 * (lo + m1);
-        const double m2r = 0.5 * (m1 + hi);
-        const double mids[3] = {m1, m2l, m2r};
-        double left[3];
-        double right[3];
-        ops.ratioBothSides(terms, mids, 3, left, right);
-        if (left[0] - right[0] <= 0.0) {
-            lo = m1;
-            if (left[2] - right[2] <= 0.0)
-                lo = m2r;
-            else
-                hi = m2r;
-        } else {
-            hi = m1;
-            if (left[1] - right[1] <= 0.0)
-                lo = m2l;
-            else
-                hi = m2l;
-        }
-    }
-    const double alpha = clampRatio(0.5 * (lo + hi));
-    if (bracket)
-        *bracket = {std::min(lo, alpha), std::max(hi, alpha)};
-    return alpha;
-}
-
-double
-solveRatioExactPerAlpha(const RatioCostTables &tables,
-                        RatioBracket *bracket)
-{
     auto difference = [&](double alpha) {
-        return tables.sideTotal(Side::Left, alpha) -
-               tables.sideTotal(Side::Right, alpha);
+        const auto [left, right] = tables.sideTotals(alpha);
+        return left - right;
     };
 
     double lo = kRatioFloor;
     double hi = 1.0 - kRatioFloor;
-    const double f_lo = difference(lo);
-    const double f_hi = difference(hi);
-    if (f_lo >= 0.0) {
+    if (difference(lo) >= 0.0) {
         if (bracket)
             *bracket = {lo, lo};
         return lo; // the left side is slower even with a minimal share
     }
-    if (f_hi <= 0.0) {
+    if (difference(hi) <= 0.0) {
         if (bracket)
             *bracket = {hi, hi};
         return hi;

@@ -13,12 +13,12 @@
 #ifndef ACCPAR_CORE_RATIO_SOLVER_H
 #define ACCPAR_CORE_RATIO_SOLVER_H
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "core/batch_kernels.h"
 #include "core/chain_dp.h"
 #include "core/condensed_graph.h"
 #include "core/cost_model.h"
@@ -72,7 +72,7 @@ double sideTotalCost(const CondensedGraph &graph,
  * Every Table 4/5 cost term is linear (or bilinear in alpha(1-alpha))
  * in the ratio with a coefficient that does not depend on it; the
  * constructor extracts those coefficients once (dropping the terms
- * Table 5 makes exactly zero), and sideTotal() replays the remaining
+ * Table 5 makes exactly zero), and sideTotals() replays the remaining
  * terms with the original operation and accumulation order. Keeping
  * the per-term order — rather than folding everything into one
  * aggregate slope — is what makes the result bit-identical with
@@ -80,10 +80,8 @@ double sideTotalCost(const CondensedGraph &graph,
  * same branch at every step and plans stay byte-identical.
  *
  * The terms are stored structure-of-arrays (one parallel array per
- * coefficient, DESIGN.md §17) so sideTotalsBatch() can sweep many
- * alpha candidates through a single pass over the term arrays via the
- * dispatched batch kernels — one lane per alpha, each lane replaying
- * the sequential operation order bit for bit.
+ * coefficient, DESIGN.md §17) and walked by one scalar loop that
+ * advances both sides' accumulators term by term.
  */
 class RatioCostTables
 {
@@ -93,35 +91,27 @@ class RatioCostTables
                     const PairCostModel &model,
                     const std::vector<PartitionType> &types);
 
-    /** T_side(alpha); bit-identical with sideTotalCost under a model
+    /** {T_left(alpha), T_right(alpha)} in one pass over the terms;
+     *  each side is bit-identical with sideTotalCost under a model
      *  whose ratio is @p alpha. */
+    std::array<double, 2> sideTotals(double alpha) const;
+
+    /** T_side(alpha): the @p side entry of sideTotals(). */
     double sideTotal(Side side, double alpha) const;
 
-    /**
-     * Batched alpha sweep: evaluates both sides for @p n candidates in
-     * one pass over the term arrays. outLeft[i] and outRight[i] are
-     * bit-identical with sideTotal(Side::Left/Right, alphas[i]).
-     * Pointers may be unaligned; n may be any count (the kernels pad
-     * internally, never storing padding lanes).
-     */
-    void sideTotalsBatch(const double *alphas, std::size_t n,
-                         double *outLeft, double *outRight) const;
-
-    /** Number of nonzero cost terms (bench/test introspection). */
-    std::size_t termCount() const { return _kind.size(); }
-
-    /** Borrowed structure-of-arrays view of the term storage for the
-     *  batch kernels. Callers that walk the terms many times (the
-     *  multisection loop) grab the view and the dispatched ops once
-     *  instead of paying sideTotalsBatch's per-call setup. Valid only
-     *  while these tables are alive. */
-    RatioTermsView view() const;
-
   private:
+    /** Term kinds, one per accumulation case of sideTotalCost. */
+    enum Kind : std::uint8_t
+    {
+        NodeComm = 0,     ///< communication objective node term
+        NodeTime = 1,     ///< time objective node term
+        EdgeBilinear = 2, ///< own*other*a edge term (twin phases)
+        EdgeOther = 3,    ///< other*a edge term (single phase)
+    };
 
-    /** Structure-of-arrays term storage; kinds are
-     *  RatioTermsView::Kind values, coefficient arrays are parallel
-     *  to it (unused coefficients hold 0.0 for their kind). */
+    /** Structure-of-arrays term storage; coefficient arrays are
+     *  parallel to _kind (unused coefficients hold 0.0 for their
+     *  kind). */
     std::vector<std::uint8_t> _kind;
     std::vector<double> _a;      ///< elems / boundary coefficient
     std::vector<double> _aSide0; ///< NodeTime: left intra bytes / link
@@ -151,33 +141,13 @@ double solveRatioLinear(const CondensedGraph &graph,
                         const std::vector<PartitionType> &types);
 
 /**
- * Exact balance: bisection for the alpha equalizing T_L(alpha) and
- * T_R(alpha) over the precomputed coefficient tables. When a vector
- * backend with at least three lanes is active, the 80 bisection steps
- * run two at a time as a batched multisection — each round evaluates
- * the midpoint and both depth-2 midpoints in one batched term pass —
- * with the candidate expressions formed exactly as sequential
- * bisection would form them. On narrower backends (the scalar
- * fallback, where the speculative third candidate is 1.5x extra work
- * instead of a spare lane) it runs the sequential per-alpha loop
- * instead. Either way the (lo, hi) trajectory, the returned alpha and
- * the bracket are bit-identical with solveRatioExactPerAlpha.
+ * Exact balance: 80-step bisection for the alpha equalizing T_L(alpha)
+ * and T_R(alpha) over the precomputed coefficient tables, one
+ * two-sided term pass per step. Reports the final bisection interval
+ * into @p bracket when non-null (for plan certificates).
  */
-double solveRatioExact(const RatioCostTables &tables);
-
-/** As above, additionally reporting the final bisection interval into
- *  @p bracket when non-null (for plan certificates). */
 double solveRatioExact(const RatioCostTables &tables,
-                       RatioBracket *bracket);
-
-/**
- * The pre-batching reference: strictly sequential bisection, one
- * two-sided term pass per step. Kept as the bit-identity oracle for
- * solveRatioExact and as the per-alpha baseline arm of
- * bench_dp_kernel's sweep comparison.
- */
-double solveRatioExactPerAlpha(const RatioCostTables &tables,
-                               RatioBracket *bracket = nullptr);
+                       RatioBracket *bracket = nullptr);
 
 /** Convenience wrapper building the tables from @p model (whose own
  *  ratio does not influence the result). */

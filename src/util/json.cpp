@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 
 #include "util/error.h"
 #include "util/string_util.h"
@@ -473,23 +474,80 @@ class Parser
         return out;
     }
 
+    bool
+    atDigit() const
+    {
+        return _pos < _text.size() &&
+               std::isdigit(static_cast<unsigned char>(_text[_pos]));
+    }
+
+    bool
+    at(char c) const
+    {
+        return _pos < _text.size() && _text[_pos] == c;
+    }
+
+    /** The error for a number that breaks the grammar at the current
+     *  offset; quotes the number-like run starting at @p start. */
+    ConfigError
+    numberError(std::size_t start, const std::string &why) const
+    {
+        std::size_t end = start;
+        while (end < _text.size() &&
+               (std::isdigit(static_cast<unsigned char>(_text[end])) ||
+                std::string_view(".eE+-").find(_text[end]) !=
+                    std::string_view::npos))
+            ++end;
+        if (end == start)
+            return error("invalid JSON value");
+        return error("invalid JSON number '" +
+                     _text.substr(start, end - start) + "': " + why);
+    }
+
+    /** One or more digits, or a grammar error naming @p where. */
+    void
+    digits(std::size_t start, const char *where)
+    {
+        if (!atDigit())
+            throw numberError(start,
+                              std::string("expected a digit ") + where);
+        while (atDigit())
+            ++_pos;
+    }
+
+    /**
+     * RFC 8259 §6: [ "-" ] ( "0" / 1-9 *DIGIT ) [ "." 1*DIGIT ]
+     * [ ( "e" / "E" ) [ "+" / "-" ] 1*DIGIT ]. A violation is reported
+     * at the byte where the grammar fails.
+     */
     Json
     parseNumber()
     {
         const std::size_t start = _pos;
-        if (_pos < _text.size() && (_text[_pos] == '-'))
+        if (at('-'))
             ++_pos;
-        while (_pos < _text.size() &&
-               (std::isdigit(static_cast<unsigned char>(_text[_pos])) ||
-                _text[_pos] == '.' || _text[_pos] == 'e' ||
-                _text[_pos] == 'E' || _text[_pos] == '+' ||
-                _text[_pos] == '-'))
+        if (at('0')) {
             ++_pos;
-        if (_pos == start)
-            throw error("invalid JSON value");
+            if (atDigit())
+                throw numberError(start, "leading zero");
+        } else {
+            digits(start, _pos == start ? "or '-' to start a number"
+                                        : "after '-'");
+        }
+        if (at('.')) {
+            ++_pos;
+            digits(start, "after '.'");
+        }
+        if (at('e') || at('E')) {
+            ++_pos;
+            if (at('+') || at('-'))
+                ++_pos;
+            digits(start, "in the exponent");
+        }
         const std::string token = _text.substr(start, _pos - start);
         // Locale-independent (ALINT10): std::stod reads LC_NUMERIC
-        // and would misparse "3.14" under a comma locale.
+        // and would misparse "3.14" under a comma locale. The grammar
+        // already holds, so only an out-of-range magnitude fails here.
         const std::optional<double> value = parseDouble(token);
         if (!value) {
             _pos = start;

@@ -28,7 +28,9 @@
 #include "models/zoo.h"
 #include "support/graph_gen.h"
 #include "support/legacy_dp.h"
+#include "util/error.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -208,6 +210,82 @@ TEST(DpKernel, PlanBatchMatchesIndependentPlans)
         EXPECT_EQ(batched[i].rootCost, alone.rootCost)
             << "request " << i;
     }
+}
+
+TEST(DpKernel, SharedDpStructureMatchesCompatCtor)
+{
+    util::Rng rng(2468);
+    const core::PartitionProblem problem(randomSeriesParallel(rng, 7));
+    core::PairCostModel model = randomModel(rng);
+    const core::TypeRestrictions allowed =
+        core::unrestrictedTypes(problem.condensed());
+
+    // The compat ctor compiles its own private structure; the shared
+    // ctor borrows the problem's. Same solves, same bits.
+    core::DpKernel owned(problem.condensed(), problem.chain(),
+                         problem.baseDims());
+    core::DpKernel shared_a(problem.dpStructure(), problem.baseDims());
+    core::DpKernel shared_b(problem.dpStructure(), problem.baseDims());
+    for (double alpha : {0.5, 0.66, 0.125, 0.9}) {
+        model.setAlpha(alpha);
+        const core::ChainDpResult ref = owned.solve(model, allowed);
+        const core::ChainDpResult a = shared_a.solve(model, allowed);
+        const core::ChainDpResult b = shared_b.solve(model, allowed);
+        EXPECT_EQ(ref.cost, a.cost) << "alpha " << alpha;
+        EXPECT_EQ(ref.types, a.types) << "alpha " << alpha;
+        EXPECT_EQ(ref.cost, b.cost) << "alpha " << alpha;
+        EXPECT_EQ(ref.types, b.types) << "alpha " << alpha;
+    }
+}
+
+TEST(DpKernel, SolveHierarchyBatchMatchesPerCandidateSolves)
+{
+    const core::PartitionProblem problem(
+        models::buildModel("resnet50", 64));
+    std::vector<hw::Hierarchy> candidates;
+    for (int levels : {2, 3, 4})
+        candidates.emplace_back(
+            hw::heterogeneousTpuArrayForLevels(levels));
+    std::vector<const hw::Hierarchy *> pointers;
+    for (const hw::Hierarchy &h : candidates)
+        pointers.push_back(&h);
+
+    core::SolverOptions options;
+    options.ratioPolicy = core::RatioPolicy::ExactBalance;
+
+    const std::vector<core::PartitionPlan> sequential =
+        core::solveHierarchyBatch(problem, pointers, options, {});
+
+    util::ThreadPool pool(4);
+    core::SolveContext pooled;
+    pooled.pool = &pool;
+    const std::vector<core::PartitionPlan> parallel =
+        core::solveHierarchyBatch(problem, pointers, options, pooled);
+
+    ASSERT_EQ(sequential.size(), candidates.size());
+    ASSERT_EQ(parallel.size(), candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const std::string reference =
+            core::planToJson(
+                core::solveHierarchy(problem, candidates[i], options),
+                candidates[i])
+                .dump();
+        EXPECT_EQ(reference,
+                  core::planToJson(sequential[i], candidates[i]).dump())
+            << "candidate " << i;
+        EXPECT_EQ(reference,
+                  core::planToJson(parallel[i], candidates[i]).dump())
+            << "candidate " << i;
+    }
+
+    // Certificate emission is per-solve evidence; the batch entry
+    // point must refuse a certificate-carrying context outright.
+    core::PlanCertificate cert;
+    core::SolveContext with_cert;
+    with_cert.certificate = &cert;
+    EXPECT_THROW(
+        core::solveHierarchyBatch(problem, pointers, options, with_cert),
+        util::ConfigError);
 }
 
 } // namespace

@@ -194,6 +194,7 @@ struct GoldenCase
     const char *pretty;
     /** certificateFingerprint of the plan's certificate. */
     const char *certificate;
+    core::RatioPolicy policy = core::RatioPolicy::PaperLinear;
 };
 
 TEST(PlanIo, GoldenSerializationBytes)
@@ -222,14 +223,25 @@ TEST(PlanIo, GoldenSerializationBytes)
          "459a8ab40e68154d", "ebf8c718213bd5db", "c891c6564e8c19fd"},
         {"vgg16", "hetero",
          "b83bd16112d0a4de", "ce60376ecacf39ac", "a05949159b8cff36"},
+        // ExactBalance pins the bisection's alphas and the bytes of
+        // its alphaBracket evidence: two brackets at the floor, one at
+        // the ceiling and four interior ones. Recorded from the
+        // multisection solver that the sequential bisection replaced.
+        {"googlenet", "tpu-v2:3+tpu-v3:5",
+         "a53742d5ec600961", "77555e168108f3e9", "de4d6aa47764c658",
+         core::RatioPolicy::ExactBalance},
     };
     for (const GoldenCase &c : cases) {
         SCOPED_TRACE(std::string(c.model) + " on " + c.array);
         const hw::AcceleratorGroup array = hw::parseArraySpec(c.array);
         PlanRequest request(models::catalog().build(c.model), array);
-        request.strategy = "accpar";
+        // Named "accpar" runs its canonical PaperLinear policy; only
+        // "custom" honours options.ratioPolicy.
+        request.strategy =
+            c.policy == core::RatioPolicy::PaperLinear ? "accpar" : "custom";
         request.jobs = 1;
         request.options.emitCertificate = true;
+        request.options.ratioPolicy = c.policy;
         const PlanResult result = Planner().plan(request);
         ASSERT_TRUE(result.certificate);
         const hw::Hierarchy hierarchy(array);

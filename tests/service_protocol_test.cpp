@@ -96,6 +96,18 @@ TEST(ServiceProtocol, MalformedJsonIsASRV01)
     expectError(parseRequest(""), service::kErrParse);
 }
 
+TEST(ServiceProtocol, NonJsonNumberIsASRV01)
+{
+    // "+1" is not a JSON number (RFC 8259 §6); the request is refused
+    // at the '+' rather than read as batch 1.
+    const auto result = parseRequest(
+        R"({"kind":"plan","model":"lenet","batch":+1})");
+    const ServiceError &error = expectError(result, service::kErrParse);
+    EXPECT_EQ(error.message,
+              "malformed request: invalid JSON number '+1': expected a "
+              "digit or '-' to start a number at byte 39");
+}
+
 TEST(ServiceProtocol, ParseErrorNamesByteOffsetOnly)
 {
     // Clients see where their line broke, not the server's check

@@ -351,9 +351,72 @@ TEST(Json, ParseErrorsNameTheByteOffset)
               "expected ':', got '1' at byte 5");
     EXPECT_EQ(parseError("[1, @]"), "invalid JSON value at byte 4");
     EXPECT_EQ(parseError("[1, 1e+]"),
-              "invalid JSON number '1e+' at byte 4");
+              "invalid JSON number '1e+': expected a digit in the "
+              "exponent at byte 7");
     EXPECT_EQ(parseError(R"(["abc)"),
               "unterminated JSON string at byte 5");
+}
+
+TEST(Json, NumbersFollowTheRfc8259Grammar)
+{
+    // Each input breaks the grammar at the byte named in its error.
+    const std::pair<const char *, const char *> bad[] = {
+        {"01", "invalid JSON number '01': leading zero at byte 1"},
+        {"-01", "invalid JSON number '-01': leading zero at byte 2"},
+        {"+1", "invalid JSON number '+1': expected a digit or '-' to "
+               "start a number at byte 0"},
+        {"1.", "invalid JSON number '1.': expected a digit after '.' "
+               "at byte 2"},
+        {".5", "invalid JSON number '.5': expected a digit or '-' to "
+               "start a number at byte 0"},
+        {"1e", "invalid JSON number '1e': expected a digit in the "
+               "exponent at byte 2"},
+        {"-", "invalid JSON number '-': expected a digit after '-' at "
+              "byte 1"},
+        {"1e+", "invalid JSON number '1e+': expected a digit in the "
+                "exponent at byte 3"},
+        {"[0, 1.e5]", "invalid JSON number '1.e5': expected a digit "
+                      "after '.' at byte 6"},
+        {R"({"batch": +1})", "invalid JSON number '+1': expected a "
+                             "digit or '-' to start a number at byte 10"},
+    };
+    for (const auto &[text, message] : bad)
+        EXPECT_EQ(parseError(text), message) << text;
+
+    const std::pair<const char *, double> good[] = {
+        {"0", 0.0},       {"-0", -0.0},        {"10", 10.0},
+        {"0.5", 0.5},     {"-1.25e-3", -1.25e-3}, {"1E+2", 100.0},
+        {"1e05", 1e5},    {"2.5E-0", 2.5},
+    };
+    for (const auto &[text, value] : good)
+        EXPECT_EQ(Json::parse(text).asNumber(), value) << text;
+}
+
+TEST(Json, EmittedNumbersParseBackToTheSameValue)
+{
+    // Every number the emitter prints is grammatical and reads back
+    // as the value it came from: integers, %.17g mantissas, and
+    // exponents of every width (denormals included).
+    std::uint64_t state = 0x8259ULL;
+    int mismatches = 0;
+    for (int finite = 0; finite < 200000;) {
+        std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        const std::uint64_t bits = z ^ (z >> 31);
+        double value = 0.0;
+        std::memcpy(&value, &bits, sizeof(value));
+        if (!std::isfinite(value))
+            continue;
+        ++finite;
+        const std::string text = Json(value).dump();
+        if (parseError(text) != "" ||
+            Json::parse(text).asNumber() != value) {
+            if (++mismatches <= 5)
+                ADD_FAILURE() << "does not read back: " << text;
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Json, ErrorsCarryNoCheckTextOrSourcePath)

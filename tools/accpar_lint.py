@@ -17,12 +17,20 @@ Rules (stable codes — never reuse or renumber):
            capability-annotated util::sync wrappers so the Clang
            -Wthread-safety build sees every acquisition.
   ALINT02  Nondeterministic float emission: a printf-style float
-           conversion (%f/%e/%g/%a family) outside the deterministic
-           %.17g emitters (util/json.cpp, core/planner.cpp), a
-           non-%.17g float conversion inside one, or std::to_string of
-           a floating-point expression anywhere in src/. Serialized floats must round-trip
-           byte-identically (plans, certificates, fingerprints), which
-           only the shared %.17g emitter guarantees.
+           conversion (%f/%e/%g/%a family) or a floating
+           std::to_chars call outside the deterministic %.17g
+           emitters (util/json.cpp, core/planner.cpp), a non-%.17g
+           float conversion or a to_chars call without
+           chars_format::general and precision 17 inside one, or
+           std::to_string of a floating-point expression anywhere in
+           src/. Comments are not code: only what survives stripping
+           // and /* */ comments is scanned. A to_chars call counts as
+           the (allowed) integer overload only when it says so — a
+           static_cast to an integer type or an integer literal as the
+           value, or a base argument; any other call is floating.
+           Serialized floats must round-trip byte-identically (plans,
+           certificates, fingerprints), which only the shared %.17g
+           emitter guarantees.
   ALINT03  A frozen file (recorded in tools/frozen_manifest.json with
            its SHA-256) was modified or deleted. The frozen set — the
            pre-flattening legacy DP solver and the independent
@@ -52,12 +60,6 @@ Rules (stable codes — never reuse or renumber):
            util::Rng so every run is replayable from its seed and
            results do not vary across standard-library
            implementations.
-  ALINT07  Raw SIMD intrinsics (the x86 and NEON intrinsic headers,
-           or an intrinsic-family token) appear in src/ outside
-           util/simd.h. All vector code must go through the Vec4
-           wrapper so the bit-identity contract (no FMA contraction,
-           scalar-identical per-lane operation order) is enforced in
-           one place and the scalar/AVX2/NEON backends cannot drift.
   ALINT12  The git index disagrees with what the build needs: a
            path under build*/ or Testing/ is tracked, or a tests/data
            file the tests name is not. Build output is machine-local
@@ -117,6 +119,12 @@ FLOAT_CONV_RE = re.compile(
     r"%[-+#0']*[0-9*]*(?:\.[0-9*]+)?(?:[lLh]*)[aefgAEFG]")
 CANONICAL_FLOAT_CONV = "%.17g"
 TO_STRING_RE = re.compile(r"std::to_string\s*\(([^()]*(?:\([^()]*\))?[^()]*)\)")
+TO_CHARS_RE = re.compile(r"\bto_chars\s*\(")
+INT_VALUE_RE = re.compile(
+    r"^-?\d+[uUlL]*$"
+    r"|^static_cast<\s*(?:(?:std::)?u?int(?:8|16|32|64)_t|(?:std::)?size_t"
+    r"|(?:unsigned\s+|signed\s+)?(?:char|short|int|long(?:\s+long)?)"
+    r"|unsigned)\s*>")
 FLOAT_ARG_RE = re.compile(
     r"\d\.\d|\d\.[fF]?\)|\de[-+]?\d"
     r"|static_cast<\s*(?:double|float|long double)\s*>"
@@ -135,16 +143,6 @@ RAW_RANDOM_RE = re.compile(
 # ALINT06: the one randomness source (the seeded SplitMix64 wrapper);
 # it may name the raw engines in its policy comment.
 RANDOM_ALLOWED = {"src/util/rng.h"}
-# ALINT07: the intrinsic headers and token families, matched including
-# comments like the other grep-stated invariants.
-RAW_SIMD_RE = re.compile(
-    r'[<"](?:[a-z0-9]*intrin|arm_neon|arm_sve)\.h[>"]'
-    r"|\b_mm(?:\d+)?_[a-z0-9_]+"
-    r"|\bv(?:ld|st)\d+q?_[a-z0-9_]+"
-    r"|\bv(?:add|sub|mul|div|fma|mla|dup|mov|get|set|combine)q?_"
-    r"(?:n_)?[fsu]\d+\b")
-# ALINT07: the one wrapper allowed to spell the intrinsics.
-SIMD_ALLOWED = {"src/util/simd.h"}
 # ALINT02: the deterministic emitters every serialized float goes
 # through (JSON output and the planner's cache-key fingerprint), and
 # the only conversion they may use.
@@ -167,7 +165,6 @@ RULES = {
     "ALINT04": "diagnostic-code catalog incoherent with DESIGN.md",
     "ALINT05": "certificate checker reaches the solver kernel",
     "ALINT06": "raw std randomness outside util/rng.h",
-    "ALINT07": "raw SIMD intrinsics outside util/simd.h",
     "ALINT12": "a build tree is tracked by git, or a named tests/data "
                "file is not",
 }
@@ -211,9 +208,68 @@ def iter_sources(src: Path):
             yield path
 
 
-def strip_line_comment(line: str) -> str:
-    cut = line.find("//")
-    return line if cut < 0 else line[:cut]
+def code_lines(text: str):
+    """Yields (line number, code) for each line of @p text with // and
+    /* */ comments (including multi-line doc comments) blanked out.
+    String and character literals are kept verbatim, so a "//" or
+    "/*" inside one does not start a comment."""
+    in_block = False
+    for number, line in enumerate(text.splitlines(), start=1):
+        out = []
+        quote = None
+        i = 0
+        while i < len(line):
+            if in_block:
+                end = line.find("*/", i)
+                if end < 0:
+                    break
+                in_block = False
+                i = end + 2
+                out.append(" ")
+                continue
+            ch = line[i]
+            if quote:
+                out.append(line[i:i + 2] if ch == "\\" else ch)
+                if ch == quote:
+                    quote = None
+                i += 2 if ch == "\\" else 1
+                continue
+            if line.startswith("//", i):
+                break
+            if line.startswith("/*", i):
+                in_block = True
+                i += 2
+                continue
+            # A ' after an alphanumeric is a digit separator (1'000),
+            # not the start of a character literal.
+            if ch == '"' or (ch == "'" and not (
+                    out and out[-1][-1:].isalnum())):
+                quote = ch
+            out.append(ch)
+            i += 1
+        yield number, "".join(out)
+
+
+def call_arguments(text: str, open_paren: int):
+    """Top-level comma-separated arguments of the call whose "(" is at
+    @p open_paren in @p text, or None when the parentheses do not
+    close."""
+    args = []
+    depth = 0
+    start = open_paren + 1
+    for i in range(open_paren, len(text)):
+        ch = text[i]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+            if depth == 0:
+                args.append(text[start:i].strip())
+                return args
+        elif ch == "," and depth == 1:
+            args.append(text[start:i].strip())
+            start = i + 1
+    return None
 
 
 def check_raw_sync(root: Path):
@@ -237,16 +293,49 @@ def check_raw_sync(root: Path):
     return findings
 
 
+def to_chars_findings(rel: str, code: str, is_emitter: bool):
+    """ALINT02's std::to_chars half over one file's comment-free code:
+    floating calls belong in the emitters, and there only as
+    chars_format::general with precision 17 (what %.17g prints)."""
+    findings = []
+    for match in TO_CHARS_RE.finditer(code):
+        args = call_arguments(code, match.end() - 1)
+        if args is None or len(args) < 3:
+            continue
+        number = code.count("\n", 0, match.start()) + 1
+        named_format = any("chars_format" in arg for arg in args)
+        floating = named_format or FLOAT_ARG_RE.search(args[2])
+        if not floating and (INT_VALUE_RE.search(args[2])
+                             or len(args) == 4):
+            continue  # the integer overload
+        if not is_emitter:
+            findings.append(Finding(
+                "ALINT02", rel, number,
+                "floating std::to_chars outside the deterministic "
+                "emitter — serialize doubles through util::json (an "
+                "integer conversion must static_cast its value to the "
+                "integer type)"))
+        elif not (len(args) == 5 and "chars_format::general" in args[3]
+                  and args[4] == "17"):
+            findings.append(Finding(
+                "ALINT02", rel, number,
+                "emitter calls std::to_chars without "
+                "chars_format::general and precision 17; the "
+                f"deterministic emitter must print "
+                f"{CANONICAL_FLOAT_CONV}"))
+    return findings
+
+
 def check_float_emission(root: Path):
-    """ALINT02 over string literals and std::to_string call sites."""
+    """ALINT02 over the string literals, std::to_string and
+    std::to_chars calls of each file's code (comments excluded)."""
     findings = []
     src = root / "src"
     for path in iter_sources(src):
         rel = path.relative_to(root).as_posix()
         is_emitter = rel in FLOAT_EMITTERS
-        for number, line in enumerate(
-                path.read_text(encoding="utf-8").splitlines(), start=1):
-            code_part = strip_line_comment(line)
+        numbered = list(code_lines(path.read_text(encoding="utf-8")))
+        for number, code_part in numbered:
             for literal in STRING_RE.findall(code_part):
                 for conv in FLOAT_CONV_RE.findall(literal):
                     if is_emitter and conv == CANONICAL_FLOAT_CONV:
@@ -270,6 +359,8 @@ def check_float_emission(root: Path):
                         "std::to_string of a floating-point "
                         "expression is locale/precision-dependent — "
                         "serialize doubles through util::json"))
+        findings += to_chars_findings(
+            rel, "\n".join(code for _, code in numbered), is_emitter)
     return findings
 
 
@@ -457,28 +548,6 @@ def check_raw_random(root: Path):
     return findings
 
 
-def check_raw_simd(root: Path):
-    """ALINT07 — like ALINT01/06, including comments: the policy is
-    stated as a grep-checkable invariant, so the tool flags what rg
-    would."""
-    findings = []
-    src = root / "src"
-    for path in iter_sources(src):
-        rel = path.relative_to(root).as_posix()
-        if rel in SIMD_ALLOWED:
-            continue
-        for number, line in enumerate(
-                path.read_text(encoding="utf-8").splitlines(), start=1):
-            match = RAW_SIMD_RE.search(line)
-            if match:
-                findings.append(Finding(
-                    "ALINT07", rel, number,
-                    f"raw SIMD intrinsic {match.group(0)} — go through "
-                    f"util::simd::Vec4 (util/simd.h) so the "
-                    f"bit-identity contract is enforced in one place"))
-    return findings
-
-
 def tracked_files(root: Path):
     """`git ls-files` of @p root, or None outside a git work tree."""
     if not (root / ".git").exists():
@@ -560,7 +629,6 @@ CHECKS = {
     "ALINT04": check_catalog,
     "ALINT05": check_independence,
     "ALINT06": check_raw_random,
-    "ALINT07": check_raw_simd,
     "ALINT12": check_git_index,
 }
 
